@@ -1,8 +1,10 @@
 """Gate benchmark: admission control bounds admitted p99 under overload.
 
-Closed-loop clients hammer one tiny LSTM-backed serving engine through
-an :class:`~repro.resilience.AdmissionController` sized at ~1.5x the
-engine's concurrent batch work:
+Closed-loop clients hammer a fleet of one — a
+:class:`~repro.cluster.Router` over one tiny LSTM-backed supervised
+engine, the topology ``repro serve`` runs by default — whose admission
+gate (:class:`~repro.cluster.ClusterAdmissionController`, the only
+gate) is sized at ~1.5x the engine's concurrent batch work:
 
 * **uncontended** — as many clients as batch slots; the gate never
   sheds, measuring the baseline p99 the engine can deliver;
@@ -31,10 +33,11 @@ import time
 
 import numpy as np
 
+from repro.cluster import ClusterConfig, Router
 from repro.models import GenerationConfig
 from repro.models.lstm import LSTMConfig, LSTMLanguageModel
-from repro.obs import NullRegistry, NullTracer
-from repro.resilience import AdmissionController, OverloadShedError
+from repro.obs import MetricsRegistry, NullRegistry, NullTracer
+from repro.resilience import OverloadShedError
 from repro.serving import EngineConfig, InferenceEngine
 
 VOCAB = 32
@@ -63,7 +66,7 @@ def _percentile(samples, q) -> float:
     return ordered[min(len(ordered) - 1, int(q * (len(ordered) - 1)))]
 
 
-def _run_phase(engine, admission, clients, requests_per_client):
+def _run_phase(router, clients, requests_per_client):
     """Closed-loop clients; returns (admitted latencies, shed count)."""
     latencies = []
     shed = [0]
@@ -78,18 +81,16 @@ def _run_phase(engine, admission, clients, requests_per_client):
             config = GenerationConfig(max_new_tokens=cost, strategy="sample",
                                       temperature=0.9, top_k=8,
                                       seed=index * 1000 + completed)
+            start = time.perf_counter()
             try:
-                admission.try_acquire(cost)
+                # The router's dispatch is the gate: it sheds up front
+                # or tracks the cost until the request resolves.
+                router.generate(prompt, config)
             except OverloadShedError:
                 with lock:
                     shed[0] += 1
                 time.sleep(SHED_BACKOFF_SECONDS * (1 + 0.5 * rng.random()))
                 continue
-            start = time.perf_counter()
-            try:
-                engine.generate(prompt, config)
-            finally:
-                admission.release(cost)
             elapsed = time.perf_counter() - start
             completed += 1
             with lock:
@@ -118,15 +119,21 @@ def main(argv=None) -> int:
 
     watermark = int(1.5 * BATCH_SLOTS * MEAN_COST)  # ~1.5x the batch's work
     model = _model()
-    engine = InferenceEngine(model, EngineConfig(max_batch_size=BATCH_SLOTS),
-                             registry=NullRegistry(), tracer=NullTracer())
-    admission = AdmissionController(watermark, registry=NullRegistry())
+
+    def factory(name):
+        return InferenceEngine(model, EngineConfig(max_batch_size=BATCH_SLOTS),
+                               registry=NullRegistry(), tracer=NullTracer(),
+                               name=name)
+
+    router = Router(factory,
+                    ClusterConfig(replicas=1, watermark_tokens=watermark),
+                    registry=MetricsRegistry(), tracer=NullTracer())
 
     uncontended_clients = BATCH_SLOTS
     overload_clients = BATCH_SLOTS * args.overload
     try:
         # Warm the engine thread, allocator and prefix cache off-clock.
-        _run_phase(engine, admission, uncontended_clients, 2)
+        _run_phase(router, uncontended_clients, 2)
         gc.collect()
         gc.disable()
         # Interleave rounds and pool samples across them: a per-round
@@ -137,17 +144,17 @@ def main(argv=None) -> int:
         try:
             for _ in range(args.rounds):
                 latencies, shed = _run_phase(
-                    engine, admission, uncontended_clients, args.requests)
+                    router, uncontended_clients, args.requests)
                 base_lat.extend(latencies)
                 base_shed += shed
                 latencies, shed = _run_phase(
-                    engine, admission, overload_clients, args.requests)
+                    router, overload_clients, args.requests)
                 hot_lat.extend(latencies)
                 hot_shed += shed
         finally:
             gc.enable()
     finally:
-        engine.stop()
+        router.stop()
 
     base_p99 = _percentile(base_lat, 0.99)
     hot_p99 = _percentile(hot_lat, 0.99)

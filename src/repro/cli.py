@@ -29,6 +29,8 @@ from .models import GenerationConfig
 from .preprocess import PreprocessConfig, preprocess
 from .recipedb import export_csv, generate_corpus, load_jsonl, save_jsonl
 from .training import TrainingConfig
+from .webapp.serve import (add_backend_arguments, build_backend_server,
+                           run_until_signalled)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,90 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--samples", type=int, default=8)
     ev.add_argument("--seed", type=int, default=0)
 
-    serve = sub.add_parser(
-        "serve", help="run the backend API (continuous-batching engine)")
-    serve.add_argument("--port", type=int, default=8000,
-                       help="listen port (0 = pick a free one)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--checkpoint", default=None,
-                       help="checkpoint directory from Ratatouille.save()")
-    serve.add_argument("--train-recipes", type=int, default=120,
-                       help="corpus size when training on the fly")
-    serve.add_argument("--train-steps", type=int, default=200,
-                       help="training steps when no checkpoint is given")
-    serve.add_argument("--engine", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="route generation through the serving engine "
-                            "(--no-engine for the in-process decoder)")
-    serve.add_argument("--deadline-ms", type=float, default=None,
-                       help="default per-request latency budget; expired "
-                            "requests get a partial result or 504")
-    serve.add_argument("--shed-watermark", type=int, default=None,
-                       help="admission-control high-water mark in queued "
-                            "decode tokens (503 + Retry-After beyond it)")
-    serve.add_argument("--supervise", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="wrap the engine in a restarting watchdog")
-    serve.add_argument("--degraded-fallback",
-                       action=argparse.BooleanOptionalAction, default=False,
-                       help="serve sequential degraded responses while the "
-                            "engine is down")
-    serve.add_argument("--speculative",
-                       action=argparse.BooleanOptionalAction, default=False,
-                       help="speculative decoding: an n-gram draft proposes "
-                            "tokens the model verifies in one batched "
-                            "forward (greedy output is unchanged)")
-    serve.add_argument("--speculative-k", type=int, default=4,
-                       help="draft tokens per verify step (with "
-                            "--speculative)")
-    serve.add_argument("--draft-order", type=int, default=3,
-                       help="n-gram order of the speculative draft")
-    serve.add_argument("--kernels", choices=["off", "fp32", "int8"],
-                       default="off",
-                       help="inference kernel mode: allocation-free decode "
-                            "path over frozen shared weights (fp32 is "
-                            "bit-identical; int8 quantizes GEMM weights)")
-    serve.add_argument("--replicas", type=int, default=1,
-                       help="replicated engine fleet behind the prefix-"
-                            "affinity router (1 = single engine)")
-    serve.add_argument("--affinity-tokens", type=int, default=32,
-                       help="leading prompt tokens hashed for replica "
-                            "placement (with --replicas > 1)")
-    serve.add_argument("--fleet-cache",
-                       action=argparse.BooleanOptionalAction, default=True,
-                       help="fleet-wide prefix-cache tier: cache-aware "
-                            "placement + cross-replica KV borrowing "
-                            "(with --replicas > 1)")
-    serve.add_argument("--publish-tokens", type=int, default=128,
-                       help="depth cap on prefixes published to the fleet "
-                            "cache index")
-    serve.add_argument("--retrieval",
-                       action=argparse.BooleanOptionalAction, default=False,
-                       help="semantic recipe index: /api/search, RAG-"
-                            "conditioned generation, novelty scoring")
-    serve.add_argument("--retrieve-k", type=int, default=0,
-                       help="server-default retrieved exemplars per "
-                            "generation prompt (payload overrides; 0 = "
-                            "search/novelty only)")
-    serve.add_argument("--index-dir", default=None,
-                       help="persisted index directory (loaded mmap when "
-                            "complete, else built and saved for a warm "
-                            "next restart)")
-    serve.add_argument("--journal-dir", default=None,
-                       help="write-ahead job journal directory: async jobs "
-                            "are fsync'd before the 202 and replayed on "
-                            "restart")
-    serve.add_argument("--spill-dir", default=None,
-                       help="prefix-cache spill directory: snapshotted on "
-                            "clean shutdown, mmap-reloaded on start")
-    serve.add_argument("--max-mcts-rollouts", type=int, default=None,
-                       help="cap on per-request mcts_rollouts for "
-                            "strategy=mcts search decoding "
-                            "(docs/DECODING.md)")
-    serve.add_argument("--drain-deadline", type=float, default=10.0,
-                       help="graceful-shutdown budget in seconds (SIGTERM "
-                            "drains in-flight jobs, flushes durable state, "
-                            "exits 0)")
+    add_backend_arguments(sub.add_parser(
+        "serve", help="run the backend API (supervised engine fleet)"))
 
     index = sub.add_parser(
         "index", help="build + persist a semantic recipe index")
@@ -362,52 +282,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the backend API, engine-backed by default."""
-    argv = ["backend", "--host", args.host, "--port", str(args.port),
-            "--train-recipes", str(args.train_recipes),
-            "--train-steps", str(args.train_steps),
-            "--engine" if args.engine else "--no-engine"]
-    if args.checkpoint:
-        argv += ["--checkpoint", args.checkpoint]
-    if args.deadline_ms is not None:
-        argv += ["--deadline-ms", str(args.deadline_ms)]
-    if args.shed_watermark is not None:
-        argv += ["--shed-watermark", str(args.shed_watermark)]
-    if args.supervise is not None:
-        argv += ["--supervise" if args.supervise else "--no-supervise"]
-    if args.degraded_fallback:
-        argv += ["--degraded-fallback"]
-    if args.speculative:
-        argv += ["--speculative",
-                 "--speculative-k", str(args.speculative_k),
-                 "--draft-order", str(args.draft_order)]
-    if args.kernels != "off":
-        argv += ["--kernels", args.kernels]
-    if args.replicas != 1:
-        argv += ["--replicas", str(args.replicas),
-                 "--affinity-tokens", str(args.affinity_tokens),
-                 "--fleet-cache" if args.fleet_cache else "--no-fleet-cache",
-                 "--publish-tokens", str(args.publish_tokens)]
-    if args.retrieval or args.retrieve_k > 0:
-        argv += ["--retrieval", "--retrieve-k", str(args.retrieve_k)]
-        if args.index_dir:
-            argv += ["--index-dir", args.index_dir]
-    if args.journal_dir:
-        argv += ["--journal-dir", args.journal_dir]
-    if args.spill_dir:
-        argv += ["--spill-dir", args.spill_dir]
-    if args.max_mcts_rollouts is not None:
-        argv += ["--max-mcts-rollouts", str(args.max_mcts_rollouts)]
-    argv += ["--drain-deadline", str(args.drain_deadline)]
-    from .webapp.serve import build_server, run_until_signalled
-    server = build_server(argv)
+    """Run the backend API on a router fleet of ``--replicas`` engines."""
+    server = build_backend_server(args)
     server.start()
-    mode = "in-process"
-    if args.engine:
-        mode = (f"{args.replicas}-replica fleet" if args.replicas > 1
-                else "engine")
-        if args.kernels != "off":
-            mode += f", {args.kernels} kernels"
+    mode = f"{args.replicas}-replica fleet"
+    if args.kernels != "off":
+        mode += f", {args.kernels} kernels"
     durable = []
     if args.journal_dir:
         durable.append("journal")

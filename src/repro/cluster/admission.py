@@ -1,15 +1,15 @@
 """Fleet-level admission: shed only when *every* replica is saturated.
 
-The single-engine :class:`~repro.resilience.AdmissionController`
-guards one queue.  A fleet has N queues, and shedding while any
-replica still has headroom throws away capacity: the router should
-*spill* to the least-loaded replica instead.  So the cluster gate
-works on the aggregate — it takes the per-replica queued-token map the
-router maintains and answers "which replicas can take this request?",
-raising :class:`~repro.resilience.OverloadShedError` (HTTP 503 +
-``Retry-After``) only when the answer is none.
+The serving stack's one load-shedding gate.  A fleet has N queues, and
+shedding while any replica still has headroom throws away capacity:
+the router should *spill* to the least-loaded replica instead.  So the
+gate works on the aggregate — it takes the per-replica queued-token
+map the router maintains and answers "which replicas can take this
+request?", raising :class:`~repro.resilience.OverloadShedError` (HTTP
+503 + ``Retry-After``) only when the answer is none.  With one replica
+(the default ``repro serve`` fleet) that is a plain single-queue gate.
 
-The per-replica budget semantics mirror the single-engine gate:
+The per-replica budget semantics:
 
 * work is denominated in decode tokens (``max_new_tokens``);
 * a replica is eligible while ``queued + cost <= watermark``;

@@ -1,13 +1,14 @@
-"""Replicated serving: N supervised engines behind one router.
+"""Replicated serving: N >= 1 supervised engines behind one router.
 
 A single :class:`~repro.serving.InferenceEngine` is a single point of
 failure and a hard ceiling on concurrency, cache capacity and upgrade
 agility.  ``repro.cluster`` runs N replicas — each its own engine with
 an *isolated* prefix cache, wrapped in its own
 :class:`~repro.resilience.EngineSupervisor` — behind a :class:`Router`
-that mirrors the engine's ``submit`` / ``generate`` / ``stats`` /
-``stop`` surface, so the webapp backend can hold either without
-caring.
+that mirrors the engine's ``submit`` / ``generate`` / ``stop``
+surface.  It is the backend's only serving topology: a single engine
+is a fleet of one, with the same admission gate, health rollup and
+degraded sequential fallback as a larger fleet.
 
 Placement is **prefix-affine**: recipe prompts share long prefixes
 (every request starts with the same ``<RECIPE_START>`` /
@@ -66,7 +67,8 @@ from ..models import GenerationConfig, LogitsProcessor
 from ..obs import MetricsRegistry, Tracer, get_registry, get_tracer
 from ..resilience.admission import OverloadShedError
 from ..resilience.faults import InjectedFault, fault_check
-from ..resilience.supervisor import EngineSupervisor, EngineUnavailableError
+from ..resilience.supervisor import (EngineSupervisor, EngineUnavailableError,
+                                     Fallback)
 from ..serving.engine import (DeadlineExceededError, EngineCrashedError,
                               EngineQueueFullError, EngineRequest,
                               EngineStoppedError, InferenceEngine)
@@ -169,6 +171,16 @@ class _Placement:
     holders: Tuple[str, ...]
 
 
+#: A borrow's pin on the owner's cache entry: ``(owner_cache, key)``.
+_Lease = Tuple[Any, Tuple[int, ...]]
+
+
+def _release(lease: Optional[_Lease]) -> None:
+    if lease is not None:
+        cache, key = lease
+        cache.unpin(key)
+
+
 class _Replica:
     """One supervised engine plus the router's bookkeeping about it."""
 
@@ -179,11 +191,15 @@ class _Replica:
         self.factory = factory
         self.draining = False
         self.lock = threading.Lock()
-        #: Outstanding work: id(entry) -> (handle-or-None, cost).
+        #: Outstanding work: id(entry) -> (handle-or-None, cost, lease).
         #: Entries with a handle self-prune once the handle resolves;
         #: handle-less entries (the beam/sequential path) are removed
-        #: explicitly by their dispatcher.
-        self._outstanding: Dict[int, Tuple[Optional[EngineRequest], int]] = {}
+        #: explicitly by their dispatcher.  ``lease`` is the owner-cache
+        #: pin a KV borrow took for this request (or ``None``); it is
+        #: released when the entry retires, so pins never outlive the
+        #: requests that borrowed.
+        self._outstanding: Dict[int, Tuple[Optional[EngineRequest], int,
+                                           Optional[_Lease]]] = {}
         self.dispatches = 0
         self.failovers = 0
 
@@ -200,8 +216,9 @@ class _Replica:
         return "dead"  # failed | stopped
 
     # -- queued-token accounting --------------------------------------
-    def track(self, handle: Optional[EngineRequest], cost: int) -> int:
-        entry = (handle, cost)
+    def track(self, handle: Optional[EngineRequest], cost: int,
+              lease: Optional[_Lease] = None) -> int:
+        entry = (handle, cost, lease)
         key = id(entry)
         with self.lock:
             self._outstanding[key] = entry
@@ -209,16 +226,20 @@ class _Replica:
 
     def untrack(self, key: int) -> None:
         with self.lock:
-            self._outstanding.pop(key, None)
+            entry = self._outstanding.pop(key, None)
+        if entry is not None:
+            _release(entry[2])
 
     def queued_tokens(self) -> int:
         """Outstanding decode-token cost; prunes resolved handles."""
         with self.lock:
-            done = [key for key, (handle, _) in self._outstanding.items()
+            done = [key for key, (handle, _, _) in self._outstanding.items()
                     if handle is not None and handle.done]
-            for key in done:
-                del self._outstanding[key]
-            return sum(cost for _, cost in self._outstanding.values())
+            retired = [self._outstanding.pop(key)[2] for key in done]
+            queued = sum(cost for _, cost, _ in self._outstanding.values())
+        for lease in retired:
+            _release(lease)
+        return queued
 
     def outstanding(self) -> int:
         self.queued_tokens()  # prune
@@ -369,6 +390,9 @@ class _ClusterMetrics:
         self.drain_seconds = registry.histogram(
             "cluster_drain_seconds",
             help="Wall-clock duration of drain() waits").labels()
+        self.degraded = registry.counter(
+            "engine_degraded_requests_total",
+            help="Requests served by the degraded fallback").labels()
 
 
 class Router:
@@ -390,16 +414,25 @@ class Router:
         its own per-replica spill directory, so restarts, ``swap`` and
         process restarts reload that replica's own prefix working set —
         warm caches stay disjoint exactly like the live ones.
+    fallback:
+        Optional degraded decoder (see
+        :func:`~repro.resilience.sequential_fallback`).  When no
+        replica can serve a blocking :meth:`generate_ex` — none is
+        live, or the failover budget is spent — the request decodes
+        sequentially through it and is reported ``degraded``.
+        Streaming (:meth:`submit`) has no degraded path.
     """
 
     def __init__(self, engine_factory: Callable[[str], InferenceEngine],
                  config: Optional[ClusterConfig] = None,
                  registry: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None,
-                 spill: Optional[Any] = None) -> None:
+                 spill: Optional[Any] = None,
+                 fallback: Optional[Fallback] = None) -> None:
         self.config = config or ClusterConfig()
         self.config.validate()
         self.spill = spill
+        self.fallback = fallback
         #: Whether :meth:`stop` wrote at least one replica's warm
         #: snapshot; ``None`` until stop runs or when no spill is
         #: configured (mirrors ``EngineSupervisor.last_spill_saved``).
@@ -426,6 +459,7 @@ class Router:
         self._ring = self._build_ring(list(self._replicas))
         self._next_id = 0
         self._id_lock = threading.Lock()
+        self._dispatch_lock = threading.Lock()
         self._stop_event = threading.Event()
         self._heartbeat = threading.Thread(target=self._heartbeat_loop,
                                            name="repro-cluster-heartbeat",
@@ -463,15 +497,13 @@ class Router:
 
     def _build_supervisor(self, factory: Callable[[], InferenceEngine],
                           name: str) -> EngineSupervisor:
-        # No sequential fallback: the fleet's degraded mode is another
-        # replica, which is both faster and bit-identical.
         replica_spill = (self.spill.for_replica(name)
                          if self.spill is not None else None)
         return EngineSupervisor(
             factory, max_restarts=self.config.max_restarts,
             backoff_seconds=self.config.restart_backoff_seconds,
             poll_seconds=min(0.02, self.config.heartbeat_seconds),
-            fallback=None, registry=self.registry, spill=replica_spill)
+            registry=self.registry, spill=replica_spill)
 
     def _build_ring(self, names: List[str]) -> List[Tuple[int, str]]:
         ring = [(self._hash(f"{name}#{vnode}".encode("utf-8")), name)
@@ -607,7 +639,7 @@ class Router:
             return None
 
     def _maybe_borrow(self, replica: _Replica, placement: _Placement,
-                      prompt_ids: Sequence[int]) -> bool:
+                      prompt_ids: Sequence[int]) -> Optional[_Lease]:
         """Read-through cross-replica KV borrow, best-effort.
 
         When placement diverted off every holder of the longest
@@ -620,21 +652,26 @@ class Router:
         cached logits row is read-only by contract.  Every failure mode
         (owner died, entry evicted since published, injected transfer
         fault) degrades to a cold prefill, never to a failed request.
+
+        Returns the lease pinning the owner's copy for the borrowing
+        request's lifetime (the caller tracks it with the request and
+        it is released when the request retires), or ``None`` when no
+        borrow happened.
         """
         if (self.fleet_index is None or not self.config.borrow
                 or placement.depth == 0
                 or replica.name in placement.holders):
-            return False
+            return None
         try:
             fault_check("fleet_cache.borrow")
         except InjectedFault:
-            return False
+            return None
         key = tuple(int(token) for token in prompt_ids[:placement.depth])
         target_cache = self._cache_of(replica)
         if target_cache is None:
-            return False
+            return None
         if target_cache.match_depth(key) >= placement.depth:
-            return False  # already at least as warm locally
+            return None  # already at least as warm locally
         for owner_name in placement.holders:
             owner = self._replicas.get(owner_name)
             # A draining owner is alive and readable — diverting off it
@@ -649,14 +686,15 @@ class Router:
             if found is None:
                 continue  # index lag: the owner evicted it after publishing
             value, nbytes = found
-            # Pin the owner's copy: a fleet-hot prefix that other
-            # replicas borrow should outlive the owner's cold churn.
-            owner_cache.pin(key)
-            if target_cache.insert(key, value, nbytes, borrowed=True):
-                self._metrics.borrows.labels(replica=replica.name).inc()
-                self._metrics.borrow_tokens.inc(placement.depth)
-                return True
-        return False
+            if not target_cache.insert(key, value, nbytes, borrowed=True):
+                continue
+            self._metrics.borrows.labels(replica=replica.name).inc()
+            self._metrics.borrow_tokens.inc(placement.depth)
+            # Lease the owner's copy while the borrower is in flight: a
+            # prefix other replicas are reading should outlive the
+            # owner's cold churn, but only for as long as they read it.
+            return (owner_cache, key) if owner_cache.pin(key) else None
+        return None
 
     # ------------------------------------------------------------------
     # Serving surface (mirrors InferenceEngine)
@@ -691,17 +729,41 @@ class Router:
                  config: Optional[GenerationConfig] = None,
                  processors: Sequence[LogitsProcessor] = (),
                  deadline_ms: Optional[float] = None) -> List[int]:
-        """Synchronous generation through the fleet.
+        """:meth:`generate_ex` without the degraded flag."""
+        tokens, _ = self.generate_ex(prompt_ids, config, processors,
+                                     deadline_ms=deadline_ms)
+        return tokens
+
+    def generate_ex(self, prompt_ids: Sequence[int],
+                    config: Optional[GenerationConfig] = None,
+                    processors: Sequence[LogitsProcessor] = (),
+                    deadline_ms: Optional[float] = None
+                    ) -> Tuple[List[int], bool]:
+        """Synchronous generation through the fleet: ``(tokens, degraded)``.
 
         Beam search (which the engine serves via its sequential
-        fallback) is routed the same way and still fails over.
+        fallback) is routed the same way and still fails over.  When no
+        replica can finish the request — none is live, or the failover
+        budget is spent — and a ``fallback`` is configured, the request
+        decodes sequentially and ``degraded`` is ``True``.
+        Request-level errors (deadline expiry, validation, admission
+        shed) always propagate: degrading must not change their
+        meaning.
         """
         config = config or GenerationConfig()
-        if config.strategy == "beam":
-            return self._generate_unbatched(prompt_ids, config, processors,
-                                            deadline_ms)
-        return self.submit(prompt_ids, config, processors,
-                           deadline_ms=deadline_ms).result()
+        try:
+            if config.strategy == "beam":
+                return self._generate_unbatched(
+                    prompt_ids, config, processors, deadline_ms), False
+            return self.submit(prompt_ids, config, processors,
+                               deadline_ms=deadline_ms).result(), False
+        except _FAILOVER_ERRORS + (NoReplicaAvailableError,):
+            if self.fallback is None or self._stop_event.is_set():
+                raise
+        config.validate()
+        tokens = self.fallback(prompt_ids, config, processors)
+        self._metrics.degraded.inc()
+        return tokens, True
 
     def _generate_unbatched(self, prompt_ids: Sequence[int],
                             config: GenerationConfig,
@@ -710,11 +772,12 @@ class Router:
         exclude: Set[str] = set()
         failovers = 0
         while True:
-            replica, placement = self._place(prompt_ids,
-                                             config.max_new_tokens, exclude,
-                                             enforce_admission=not exclude)
-            self._maybe_borrow(replica, placement, prompt_ids)
-            key = replica.track(None, config.max_new_tokens)
+            with self._dispatch_lock:
+                replica, placement = self._place(
+                    prompt_ids, config.max_new_tokens, exclude,
+                    enforce_admission=not exclude)
+                lease = self._maybe_borrow(replica, placement, prompt_ids)
+                key = replica.track(None, config.max_new_tokens, lease)
             self._note_dispatch(replica)
             try:
                 return replica.supervisor.generate(prompt_ids, config,
@@ -757,32 +820,42 @@ class Router:
         excluded = set(exclude)
         last_error: Optional[BaseException] = None
         while True:
-            try:
-                replica, placement = self._place(request.prompt_ids,
-                                                 request.cost, excluded,
-                                                 enforce_admission)
-            except NoReplicaAvailableError:
-                if last_error is not None:
-                    raise last_error
-                raise
-            remaining_ms = request.remaining_deadline_ms()
-            if remaining_ms is not None and remaining_ms <= 0:
-                raise DeadlineExceededError(request.request_id,
-                                            request.deadline_ms or 0.0, [])
-            # Borrow before submit so the engine's prefill lookup finds
-            # the snapshot already in its cache.
-            self._maybe_borrow(replica, placement, request.prompt_ids)
-            try:
-                handle = replica.supervisor.submit(
-                    request.prompt_ids, request.config, request.processors,
-                    deadline_ms=remaining_ms)
-            except _FAILOVER_ERRORS + (EngineQueueFullError,) as error:
-                # Stale health or a full queue: skip this replica and
-                # keep trying the rest of the affinity order.
-                excluded.add(replica.name)
-                last_error = error
-                continue
-            key = replica.track(handle, request.cost)
+            # Admission, placement and tracking are one atomic step, so
+            # concurrent dispatches cannot all pass the gate before any
+            # of them counts against it.
+            with self._dispatch_lock:
+                try:
+                    replica, placement = self._place(request.prompt_ids,
+                                                     request.cost, excluded,
+                                                     enforce_admission)
+                except NoReplicaAvailableError:
+                    if last_error is not None:
+                        raise last_error
+                    raise
+                remaining_ms = request.remaining_deadline_ms()
+                if remaining_ms is not None and remaining_ms <= 0:
+                    raise DeadlineExceededError(request.request_id,
+                                                request.deadline_ms or 0.0,
+                                                [])
+                # Borrow before submit so the engine's prefill lookup
+                # finds the snapshot already in its cache.
+                lease = self._maybe_borrow(replica, placement,
+                                           request.prompt_ids)
+                try:
+                    handle = replica.supervisor.submit(
+                        request.prompt_ids, request.config,
+                        request.processors, deadline_ms=remaining_ms)
+                except _FAILOVER_ERRORS + (EngineQueueFullError,) as error:
+                    # Stale health or a full queue: skip this replica
+                    # and keep trying the rest of the affinity order.
+                    _release(lease)
+                    excluded.add(replica.name)
+                    last_error = error
+                    continue
+                except BaseException:
+                    _release(lease)
+                    raise
+                key = replica.track(handle, request.cost, lease)
             old_key = request._track_key
             if old_key is not None and request._attempt is not None:
                 request._attempt.replica.untrack(old_key)
@@ -1004,6 +1077,27 @@ class Router:
                           if self.fleet_index is not None else None),
             },
             "admission": self.admission.stats(),
+        }
+
+    def engine_stats(self) -> Dict[str, Any]:
+        """Per-replica engine + supervisor stats (for ``/api/engine``)."""
+        return {"replicas": {name: replica.supervisor.stats()
+                             for name, replica in self._replicas.items()}}
+
+    def resilience_stats(self) -> Dict[str, Any]:
+        """Failure-envelope stats (for ``/api/resilience``): the fleet
+        admission gate, the degraded fallback, and each replica's
+        supervisor."""
+        return {
+            "admission": self.admission.stats(),
+            "degraded_fallback": self.fallback is not None,
+            "degraded_total": self._metrics.degraded.value,
+            "replicas": {
+                name: {"state": replica.supervisor.state,
+                       "restarts": replica.supervisor.restarts,
+                       "max_restarts": replica.supervisor.max_restarts,
+                       "queued_tokens": replica.queued_tokens()}
+                for name, replica in self._replicas.items()},
         }
 
     # ------------------------------------------------------------------

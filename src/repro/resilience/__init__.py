@@ -7,10 +7,11 @@ package adds the failure-handling layer:
 
 - :mod:`repro.resilience.faults` — deterministic fault injection at
   named failure points (``fault_check``), driving the chaos suite;
-- :mod:`repro.resilience.admission` — token-denominated load shedding
-  with 503 + ``Retry-After`` beyond a high-water mark;
+- :mod:`repro.resilience.admission` — :class:`OverloadShedError`, the
+  503 + ``Retry-After`` answer of the fleet's load-shedding gate
+  (:class:`repro.cluster.ClusterAdmissionController`);
 - :mod:`repro.resilience.supervisor` — engine watchdog with bounded
-  restarts and an optional degraded sequential fallback.
+  restarts, plus the sequential decoder the router degrades to.
 
 Request *deadlines* live in the engine itself
 (:class:`repro.serving.DeadlineExceededError` carries the partial
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .admission import AdmissionController, OverloadShedError
+from .admission import OverloadShedError
 from .faults import (FAULT_POINTS, FaultInjector, FaultSpec, InjectedFault,
                      fault_check, get_fault_injector, inject_faults,
                      set_fault_injector)
@@ -40,7 +41,6 @@ _SUPERVISOR_EXPORTS = (
 )
 
 __all__ = [
-    "AdmissionController",
     "FAULT_POINTS",
     "FaultInjector",
     "FaultSpec",
@@ -70,12 +70,10 @@ class ResilienceConfig:
     shed_watermark_tokens: Optional[int] = None
     #: Decode-rate hint used for ``Retry-After`` estimates.
     tokens_per_second_hint: float = 200.0
-    #: Wrap the engine in an :class:`EngineSupervisor`.
-    supervise: bool = False
-    #: Restart budget and backoff for the supervisor.
+    #: Restart budget and backoff for each replica's supervisor.
     max_restarts: int = 3
     restart_backoff_seconds: float = 0.05
-    #: Serve sequential degraded responses while the engine is down.
+    #: Serve sequential degraded responses when no replica can.
     degraded_fallback: bool = False
 
     def __post_init__(self) -> None:

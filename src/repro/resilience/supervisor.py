@@ -12,33 +12,32 @@ closes that hole:
    a named :class:`~repro.serving.EngineCrashedError` (never a hang);
 3. **restart** — a fresh engine (fresh prefix cache — the crash may
    have been a poisoned snapshot) is built from the factory, with
-   exponential backoff, at most ``max_restarts`` times;
-4. **degrade** — while no engine is serving (mid-backoff, or restarts
-   exhausted) an optional fallback decodes sequentially and the
-   response is marked ``"degraded": true`` upstream.
+   exponential backoff, at most ``max_restarts`` times.
 
-The supervisor intentionally mirrors the engine's ``submit`` /
-``generate`` / ``stats`` / ``stop`` surface so callers (the webapp
-backend, ``Ratatouille.generate``) can hold either without caring.
+Each replica of a :class:`~repro.cluster.Router` fleet is one
+supervised engine.  While no engine is serving (mid-backoff, or
+restarts exhausted) the supervisor raises
+:class:`EngineUnavailableError`; degrading to the sequential decoder
+(:func:`sequential_fallback`, ``"degraded": true`` upstream) is the
+router's job, once no replica at all can serve.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..models import GenerationConfig, LanguageModel, LogitsProcessor
 from ..models import generate as sequential_generate
 from ..obs import (MetricsRegistry, NullRegistry, NullTracer, get_registry)
-from ..serving.engine import (EngineCrashedError, EngineRequest,
-                              EngineStoppedError, InferenceEngine)
+from ..serving.engine import EngineCrashedError, EngineRequest, InferenceEngine
 
 Fallback = Callable[[Sequence[int], GenerationConfig,
                      Sequence[LogitsProcessor]], List[int]]
 
 
 class EngineUnavailableError(RuntimeError):
-    """No engine is currently serving and no fallback is configured."""
+    """No engine is currently serving (restarting, failed or stopped)."""
 
 
 def sequential_fallback(model: LanguageModel) -> Fallback:
@@ -72,14 +71,12 @@ class EngineSupervisor:
         prefix cache by construction.
     max_restarts:
         Restart budget.  Once spent, the supervisor stops replacing
-        engines and serves only the fallback (or errors).
+        engines and every call raises :class:`EngineUnavailableError`.
     backoff_seconds / backoff_multiplier:
         Restart ``n`` (1-based) waits ``backoff_seconds *
         backoff_multiplier ** (n - 1)`` before building the new engine.
     poll_seconds:
         Watchdog check interval.
-    fallback:
-        Optional degraded decoder (see :func:`sequential_fallback`).
     spill:
         Optional :class:`~repro.durability.CacheSpill`-shaped object
         (``load_into(cache)`` / ``save(cache)``).  When set, every
@@ -95,7 +92,6 @@ class EngineSupervisor:
                  backoff_seconds: float = 0.05,
                  backoff_multiplier: float = 2.0,
                  poll_seconds: float = 0.02,
-                 fallback: Optional[Fallback] = None,
                  registry: Optional[MetricsRegistry] = None,
                  spill: Optional[Any] = None) -> None:
         if max_restarts < 0:
@@ -108,7 +104,6 @@ class EngineSupervisor:
         self.backoff_seconds = backoff_seconds
         self.backoff_multiplier = backoff_multiplier
         self.poll_seconds = poll_seconds
-        self.fallback = fallback
         self.spill = spill
         #: Outcome of the spill attempt made by :meth:`stop`: ``True``
         #: once a snapshot was written, ``False`` when a configured
@@ -124,9 +119,6 @@ class EngineSupervisor:
         self._crashes_total = registry.counter(
             "engine_crashes_total",
             help="Engine thread deaths detected by the supervisor")
-        self._degraded_total = registry.counter(
-            "engine_degraded_requests_total",
-            help="Requests served by the degraded fallback")
         self._up_gauge = registry.gauge(
             "engine_supervisor_up",
             help="1 while a live engine is serving, 0 otherwise")
@@ -160,10 +152,6 @@ class EngineSupervisor:
         return self._restarts
 
     @property
-    def running(self) -> bool:
-        return self._state == "serving" and self._engine.running
-
-    @property
     def prefix_cache(self):
         return self._engine.prefix_cache
 
@@ -173,7 +161,6 @@ class EngineSupervisor:
             "state": self._state,
             "restarts": self._restarts,
             "max_restarts": self.max_restarts,
-            "degraded_available": self.fallback is not None,
         }
         return stats
 
@@ -187,62 +174,31 @@ class EngineSupervisor:
         """Submit to the current engine.
 
         Raises :class:`EngineUnavailableError` while no engine is
-        serving (streaming has no degraded mode — the fallback decoder
-        cannot stream).
+        serving.
         """
-        engine, state = self._engine, self._state
-        if state != "serving":
-            raise EngineUnavailableError(
-                f"engine is not serving (supervisor state: {state})")
-        return engine.submit(prompt_ids, config, processors,
-                             deadline_ms=deadline_ms)
+        return self._serving_engine().submit(prompt_ids, config, processors,
+                                             deadline_ms=deadline_ms)
 
     def generate(self, prompt_ids: Sequence[int],
                  config: Optional[GenerationConfig] = None,
                  processors: Sequence[LogitsProcessor] = (),
                  deadline_ms: Optional[float] = None) -> List[int]:
-        """Engine-or-fallback synchronous generation (degraded flag dropped).
+        """Synchronous generation on the current engine (beam included).
 
-        Matches ``InferenceEngine.generate`` so a supervisor can stand
-        in for an engine anywhere (e.g. ``Ratatouille.generate``).
+        Raises :class:`EngineUnavailableError` while no engine is
+        serving; a crash mid-request surfaces as the engine's
+        :class:`~repro.serving.EngineCrashedError`.
         """
-        tokens, _ = self.generate_ex(prompt_ids, config, processors,
-                                     deadline_ms=deadline_ms)
-        return tokens
+        return self._serving_engine().generate(prompt_ids, config,
+                                               processors,
+                                               deadline_ms=deadline_ms)
 
-    def generate_ex(self, prompt_ids: Sequence[int],
-                    config: Optional[GenerationConfig] = None,
-                    processors: Sequence[LogitsProcessor] = (),
-                    deadline_ms: Optional[float] = None
-                    ) -> Tuple[List[int], bool]:
-        """Generate, returning ``(tokens, degraded)``.
-
-        Tries the live engine first; on *unavailability* errors only
-        (crash, stop, supervisor outage) falls back to the degraded
-        decoder when one is configured.  Request-level errors —
-        deadline expiry, validation — always propagate: degrading must
-        not change their meaning.
-        """
-        config = config or GenerationConfig()
-        if self._state == "serving":
-            engine = self._engine
-            try:
-                return engine.generate(prompt_ids, config, processors,
-                                       deadline_ms=deadline_ms), False
-            except (EngineCrashedError, EngineStoppedError):
-                if self._stop_event.is_set():
-                    raise
-                # fall through to degraded mode (or re-raise below)
-        if self._stop_event.is_set():
-            raise EngineStoppedError("supervisor has been stopped")
-        if self.fallback is None:
+    def _serving_engine(self) -> InferenceEngine:
+        engine, state = self._engine, self._state
+        if state != "serving":
             raise EngineUnavailableError(
-                f"engine is not serving (supervisor state: {self._state}) "
-                "and no degraded fallback is configured")
-        config.validate()
-        tokens = self.fallback(prompt_ids, config, processors)
-        self._degraded_total.inc()
-        return tokens, True
+                f"engine is not serving (supervisor state: {state})")
+        return engine
 
     def stop(self, timeout: float = 5.0) -> None:
         """Stop the watchdog and the current engine.

@@ -24,10 +24,11 @@ which replica holds which prefix.  Entries inserted with
 replica's cache — they serve lookups normally but are excluded from
 :meth:`entries_snapshot` so the spill layer never persists the same
 snapshot twice (the owning replica spills it).  Entries can be
-``pin``-ned: the LRU prefers evicting unpinned entries, so a
-fleet-hot prefix that other replicas borrow survives cold-traffic
-churn (the byte budget still wins — when only pinned entries remain,
-the oldest pinned entry is evicted rather than overflowing).
+leased with :meth:`pin` / :meth:`unpin` (a refcount): the LRU prefers
+evicting unpinned entries, so a prefix another replica is borrowing
+survives cold-traffic churn while the borrow is in flight (the byte
+budget still wins — when only pinned entries remain, the oldest
+pinned entry is evicted rather than overflowing).
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ class _Entry:
     nbytes: int
     node: _Node
     borrowed: bool = False
-    pinned: bool = False
+    #: Outstanding leases (:meth:`PrefixCache.pin`); > 0 means pinned.
+    pins: int = 0
 
 
 @dataclass
@@ -256,26 +258,41 @@ class PrefixCache:
                 return None
             return entry.value, entry.nbytes
 
-    def pin(self, tokens: Iterable[int], pinned: bool = True) -> bool:
-        """Mark an exact entry (un)pinned; returns False if absent.
+    def pin(self, tokens: Iterable[int]) -> bool:
+        """Take one lease on an exact entry; returns False if absent.
 
-        Pinned entries are evicted only when no unpinned entry remains
-        — the byte budget is never exceeded, but a fleet-hot prefix
-        that other replicas borrow outlives cold-traffic churn.
+        Pinned entries (at least one lease outstanding) are evicted
+        only when no unpinned entry remains — the byte budget is never
+        exceeded, but a prefix another replica is borrowing outlives
+        cold-traffic churn.  Every successful ``pin`` must be paired
+        with one :meth:`unpin` when the borrowing request retires.
         """
+        return self._adjust_pins(tokens, +1)
+
+    def unpin(self, tokens: Iterable[int]) -> bool:
+        """Release one lease taken by :meth:`pin`; False if absent."""
+        return self._adjust_pins(tokens, -1)
+
+    def _adjust_pins(self, tokens: Iterable[int], delta: int) -> bool:
         key = tuple(int(t) for t in tokens)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 return False
-            entry.pinned = pinned
+            entry.pins = max(0, entry.pins + delta)
             return True
+
+    def pinned_count(self) -> int:
+        """Entries currently holding at least one lease."""
+        with self._lock:
+            return sum(1 for entry in self._entries.values()
+                       if entry.pins > 0)
 
     # ------------------------------------------------------------------
     def _evict_lru(self) -> None:
         victim_key = None
         for key, entry in self._entries.items():  # LRU -> MRU order
-            if not entry.pinned:
+            if entry.pins == 0:
                 victim_key = key
                 break
         if victim_key is None:

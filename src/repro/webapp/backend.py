@@ -16,7 +16,10 @@ Endpoints:
 * ``POST /api/search`` — semantic search over the training corpus
   (``docs/RETRIEVAL.md``); requires ``retrieval_index``;
 * ``GET /api/retrieval`` — index structure and recall stats;
-* ``GET /api/engine`` — serving-engine and prefix-cache stats;
+* ``GET /api/engine`` — per-replica serving-engine and prefix-cache
+  stats;
+* ``GET /api/cluster`` / ``GET /api/resilience`` — fleet placement and
+  failure-envelope stats;
 * ``GET /api/metrics`` — the observability exposition (JSON by
   default, ``?format=text`` for the Prometheus-style form); see
   ``docs/OBSERVABILITY.md``.
@@ -31,23 +34,21 @@ from __future__ import annotations
 
 import threading
 import uuid
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from ..cluster import ClusterConfig, NoReplicaAvailableError, Router
 from ..core.pipeline import Ratatouille
 from ..decoding import (MIN_BUDGET, apply_constraints_to_prompt,
                         build_constrained_processors, parse_constraints,
                         run_constrained_generation, violations)
-from ..durability import (CacheSpill, FleetCacheSpill, JobJournal,
-                          JournalError)
+from ..durability import FleetCacheSpill, JobJournal, JournalError
 from ..models import GenerationConfig
 from ..obs import (MetricsRegistry, Tracer, get_registry, get_tracer,
                    render_json, render_text)
 from ..recipedb import IngredientCatalog, PairingGraph, default_catalog
-from ..resilience import (AdmissionController, OverloadShedError,
-                          ResilienceConfig)
+from ..resilience import OverloadShedError, ResilienceConfig
 from ..retrieval import query_from_ingredients
-from ..resilience.supervisor import (EngineSupervisor, EngineUnavailableError,
+from ..resilience.supervisor import (EngineUnavailableError,
                                      sequential_fallback)
 from ..serving import (DeadlineExceededError, EngineCrashedError,
                        EngineQueueFullError, EngineStoppedError,
@@ -247,14 +248,41 @@ def _recipe_payload(recipe) -> dict:
     }
 
 
+def _shed_response(exc: OverloadShedError) -> Response:
+    return Response.error(str(exc), status=503,
+                          headers={"Retry-After": str(exc.retry_after)})
+
+
+#: Serving failures and the HTTP status each maps to.  A crashed
+#: replica is 502, not 503: the response is deterministic, so an
+#: idempotent resend (the client RetryPolicy does this) returns the
+#: identical recipe — usually from a healthy replica.
+_SERVING_ERRORS = (
+    (DeadlineExceededError, 504),
+    (EngineQueueFullError, 429),
+    (EngineCrashedError, 502),
+    ((EngineStoppedError, EngineUnavailableError, NoReplicaAvailableError),
+     503),
+)
+
+
+def _serving_error_response(exc: Exception) -> Optional[Response]:
+    """The HTTP answer for a serving-layer failure; ``None`` if unmapped."""
+    if isinstance(exc, OverloadShedError):
+        return _shed_response(exc)
+    for kinds, status in _SERVING_ERRORS:
+        if isinstance(exc, kinds):
+            return Response.error(str(exc), status=status)
+    return None
+
+
 def create_backend(pipeline: Ratatouille,
                    catalog: Optional[IngredientCatalog] = None,
                    pairing: Optional[PairingGraph] = None,
                    job_queue: Optional[JobQueue] = None,
                    registry: Optional[MetricsRegistry] = None,
                    tracer: Optional[Tracer] = None,
-                   use_engine: bool = True,
-                   engine: Optional[InferenceEngine] = None,
+                   engine: Optional[Router] = None,
                    max_new_tokens_cap: int = MAX_NEW_TOKENS_CAP,
                    resilience: Optional[ResilienceConfig] = None,
                    draft=None,
@@ -275,20 +303,24 @@ def create_backend(pipeline: Ratatouille,
     what the job queue and serving engine report into; they default to
     the process-wide instances.
 
-    By default generation routes through a
-    :class:`~repro.serving.InferenceEngine` (continuous batching +
-    prefix KV-cache reuse); the engine's outputs are bit-identical to
-    the in-process decoder, so this is purely a throughput change.
-    Pass ``use_engine=False`` for the plain in-process path, or an
-    ``engine`` to share one across apps.  The engine is stored as
-    ``app.engine`` so embedding code can stop it.
+    Generation always routes through a :class:`~repro.cluster.Router`
+    fleet of ``replicas`` (default 1) supervised
+    :class:`~repro.serving.InferenceEngine` replicas (continuous
+    batching + prefix KV-cache reuse, watchdog restarts, see
+    ``docs/CLUSTER.md``); the engines' outputs are bit-identical to the
+    in-process decoder, so the topology is purely a throughput and
+    availability choice.  A pre-built router can be passed as
+    ``engine`` to share one across apps.  The router is stored as
+    ``app.engine`` (and ``app.router``) so embedding code can stop it.
 
     ``resilience`` (see ``docs/RESILIENCE.md``) adds the failure
     envelope: request deadlines (``deadline_ms`` in payloads, plus a
     server default → partial result or 504), admission control (503 +
-    ``Retry-After`` past the watermark) and engine supervision
-    (watchdog restarts; degraded sequential fallback marked
-    ``"degraded": true``).  ``None`` — the default — changes nothing.
+    ``Retry-After`` once every replica is past the watermark), each
+    replica's restart budget, and the router's degraded sequential
+    fallback (marked ``"degraded": true``) for blocking requests no
+    replica can serve.  ``None`` — the default — keeps shedding and
+    the fallback off.
 
     ``draft``/``speculative_k`` enable speculative decoding (see
     ``docs/SERVING.md``): ``draft`` is a
@@ -300,18 +332,14 @@ def create_backend(pipeline: Ratatouille,
     bit-identical to the sequential decoder; sampled requests keep the
     model's distribution via rejection sampling.
 
-    ``replicas > 1`` serves through a :class:`~repro.cluster.Router`
-    fleet instead of a single engine (see ``docs/CLUSTER.md``): N
-    supervised engine replicas with isolated prefix caches,
+    ``replicas > 1`` grows the fleet: isolated prefix caches,
     prefix-affinity placement over the first ``affinity_tokens``
     prompt ids, transparent bit-identical failover, and rolling
-    drain/swap/readmit via ``app.router``.  The resilience knobs that
-    applied to the single supervised engine (restart budget, shed
-    watermark) apply per replica; fleet admission sheds only when
-    every replica is past watermark.  A pre-built router can also be
-    passed as ``engine=``.
+    drain/swap/readmit via ``app.router``.  The restart budget and
+    shed watermark apply per replica; fleet admission sheds only when
+    every replica is past watermark.
 
-    ``fleet_cache`` (default on, with ``replicas > 1``) adds the
+    ``fleet_cache`` (default on; it matters with ``replicas > 1``) adds the
     fleet-wide prefix-cache tier: each replica publishes its cached
     prefixes — capped at ``publish_tokens`` deep — into a shared
     :class:`~repro.cluster.FleetCacheIndex`, placement prefers the
@@ -348,9 +376,9 @@ def create_backend(pipeline: Ratatouille,
     submit with the same key maps to the already-journaled job instead
     of executing twice.
 
-    ``spill_dir`` enables prefix-cache spill: the engine's (or each
-    replica's) KV prefix cache is snapshotted on clean stop and
-    mmap-reloaded on the next start, so restarts and rolling swaps
+    ``spill_dir`` enables prefix-cache spill: each replica's KV prefix
+    cache is snapshotted to ``<spill_dir>/<replica>/`` on clean stop
+    and mmap-reloaded on the next start, so restarts and rolling swaps
     serve warm instead of re-prefilling every prompt.
 
     Both feed ``app.shutdown_gracefully(deadline_seconds)`` — stop
@@ -387,70 +415,40 @@ def create_backend(pipeline: Ratatouille,
     if speculative_k < 0 or speculative_k > MAX_SPECULATIVE_K:
         raise ValueError(
             f"speculative_k must be in [0, {MAX_SPECULATIVE_K}]")
-    journal = JobJournal(journal_dir) if journal_dir is not None else None
-    spill = None
-    if spill_dir is not None:
-        if replicas > 1:
-            spill = FleetCacheSpill(spill_dir, model=pipeline.model)
-        else:
-            spill = CacheSpill(spill_dir, model=pipeline.model)
-    if engine is None and use_engine:
-        if replicas > 1:
-            def _engine_factory(name: str) -> InferenceEngine:
-                return InferenceEngine(pipeline.model, registry=registry,
-                                       tracer=tracer, draft=draft, name=name)
-            cluster_config = ClusterConfig(
-                replicas=replicas,
-                affinity_tokens=affinity_tokens,
-                fleet_cache=fleet_cache,
-                publish_tokens=publish_tokens,
-                watermark_tokens=(resilience.shed_watermark_tokens or None
-                                  if resilience is not None else None),
-                tokens_per_second_hint=(
-                    resilience.tokens_per_second_hint
-                    if resilience is not None
-                    else ClusterConfig.tokens_per_second_hint),
-                max_restarts=(resilience.max_restarts
-                              if resilience is not None
-                              else ClusterConfig.max_restarts),
-                restart_backoff_seconds=(
-                    resilience.restart_backoff_seconds
-                    if resilience is not None
-                    else ClusterConfig.restart_backoff_seconds))
-            engine = Router(_engine_factory, cluster_config,
-                            registry=registry, tracer=tracer, spill=spill)
-        elif resilience is not None and resilience.supervise:
-            def _factory() -> InferenceEngine:
-                return InferenceEngine(pipeline.model, registry=registry,
-                                       tracer=tracer, draft=draft)
-            fallback = (sequential_fallback(pipeline.model)
-                        if resilience.degraded_fallback else None)
-            engine = EngineSupervisor(
-                _factory,
-                max_restarts=resilience.max_restarts,
-                backoff_seconds=resilience.restart_backoff_seconds,
-                fallback=fallback,
-                registry=registry,
-                spill=spill)
-        else:
-            engine = InferenceEngine(pipeline.model, registry=registry,
-                                     tracer=tracer, draft=draft)
-            if spill is not None:
-                try:
-                    spill.load_into(engine.prefix_cache)
-                except Exception:  # noqa: BLE001 - corrupt spill => cold
-                    pass
-    supervisor = engine if isinstance(engine, EngineSupervisor) else None
-    router = engine if isinstance(engine, Router) else None
-    default_deadline_ms = (resilience.default_deadline_ms
-                           if resilience is not None else None)
-    # With no draft fitted, a server-level speculative_k would silently
-    # decode sequentially; zero it so /api/health tells the truth.
-    default_speculative_k = speculative_k if draft is not None else 0
     if retrieve_k < 0 or retrieve_k > MAX_RETRIEVE_K:
         raise ValueError(f"retrieve_k must be in [0, {MAX_RETRIEVE_K}]")
     if retrieve_k > 0 and retrieval_index is None:
         raise ValueError("retrieve_k > 0 requires a retrieval_index")
+    if engine is not None and not isinstance(engine, Router):
+        raise TypeError(f"engine must be a repro.cluster.Router, got "
+                        f"{type(engine).__name__}")
+    resilience = resilience if resilience is not None else ResilienceConfig()
+    journal = JobJournal(journal_dir) if journal_dir is not None else None
+    router = engine
+    if router is None:
+        def _engine_factory(name: str) -> InferenceEngine:
+            return InferenceEngine(pipeline.model, registry=registry,
+                                   tracer=tracer, draft=draft, name=name)
+        router = Router(
+            _engine_factory,
+            ClusterConfig(
+                replicas=replicas,
+                affinity_tokens=affinity_tokens,
+                fleet_cache=fleet_cache,
+                publish_tokens=publish_tokens,
+                watermark_tokens=resilience.shed_watermark_tokens,
+                tokens_per_second_hint=resilience.tokens_per_second_hint,
+                max_restarts=resilience.max_restarts,
+                restart_backoff_seconds=resilience.restart_backoff_seconds),
+            registry=registry, tracer=tracer,
+            spill=(FleetCacheSpill(spill_dir, model=pipeline.model)
+                   if spill_dir is not None else None),
+            fallback=(sequential_fallback(pipeline.model)
+                      if resilience.degraded_fallback else None))
+    default_deadline_ms = resilience.default_deadline_ms
+    # With no draft fitted, a server-level speculative_k would silently
+    # decode sequentially; zero it so /api/health tells the truth.
+    default_speculative_k = speculative_k if draft is not None else 0
     default_retrieve_k = retrieve_k if retrieval_index is not None else 0
     retrieval_shed = None
     retrieval_degradations = None
@@ -463,23 +461,12 @@ def create_backend(pipeline: Ratatouille,
             "retrieval_degraded_total",
             help="Generations that degraded to un-conditioned output "
                  "because a retrieval lookup failed")
-    # The router does its own fleet-level admission (shed only when
-    # every replica is past watermark) — a single-queue gate in front
-    # of it would shed spillable load.
-    admission: Optional[AdmissionController] = None
-    if (router is None and resilience is not None
-            and resilience.shed_watermark_tokens):
-        admission = AdmissionController(
-            resilience.shed_watermark_tokens,
-            tokens_per_second_hint=resilience.tokens_per_second_hint,
-            registry=registry)
     app = App(name="ratatouille-backend")
-    app.engine = engine
+    app.engine = router
     app.router = router
-    app.admission = admission
     app.retrieval_index = retrieval_index
     app.journal = journal
-    app.spill = spill
+    app.spill = router.spill
 
     #: ``Idempotency-Key`` → ``{"job_id", "committed"}``.  A claim is
     #: provisional (``committed=False``) until the submit sticks
@@ -497,9 +484,9 @@ def create_backend(pipeline: Ratatouille,
     lifecycle = {"draining": False, "shutdown": None}
 
     def _admit(cost: int) -> Optional[Response]:
-        """Acquire admission; a Response means "shed, answer with this".
+        """Probe admission; a Response means "shed, answer with this".
 
-        With a router the fleet-level gate runs inside dispatch; here
+        The fleet gate itself runs inside the router's dispatch; here
         we only *probe* it, so an async job that would queue behind a
         saturated fleet sheds at submit time (503 + Retry-After)
         instead of failing later inside the job worker.
@@ -512,27 +499,11 @@ def create_backend(pipeline: Ratatouille,
             return Response.error(
                 "server is draining for shutdown", status=503,
                 headers={"Retry-After": "1"})
-        if router is not None:
-            try:
-                router.check_admission(cost)
-            except OverloadShedError as exc:
-                return Response.error(
-                    str(exc), status=503,
-                    headers={"Retry-After": str(exc.retry_after)})
-            return None
-        if admission is None:
-            return None
         try:
-            admission.try_acquire(cost)
+            router.check_admission(cost)
         except OverloadShedError as exc:
-            return Response.error(
-                str(exc), status=503,
-                headers={"Retry-After": str(exc.retry_after)})
+            return _shed_response(exc)
         return None
-
-    def _release(cost: int) -> None:
-        if admission is not None:
-            admission.release(cost)
 
     def _fetch_exemplars(names, count: int):
         """Retrieve RAG exemplar texts; returns ``(texts, degraded)``.
@@ -571,23 +542,15 @@ def create_backend(pipeline: Ratatouille,
     def _engine_submit(state: dict):
         """The decode callable constrained generation rolls out through.
 
-        ``None`` when the backend has no engine (the driver falls back
-        to the in-process sequential decoder).  ``state["degraded"]``
-        records a supervisor fallback so the payload can surface it.
+        ``state["degraded"]`` records a router fallback so the payload
+        can surface it.
         """
-        if engine is None:
-            return None
-
         def submit(prompt_ids, cfg, processors, submit_deadline_ms):
-            if supervisor is not None:
-                new_ids, deg = supervisor.generate_ex(
-                    prompt_ids, cfg, processors,
-                    deadline_ms=submit_deadline_ms)
-                if deg:
-                    state["degraded"] = True
-                return new_ids
-            return engine.generate(prompt_ids, cfg, processors,
-                                   deadline_ms=submit_deadline_ms)
+            new_ids, degraded = router.generate_ex(
+                prompt_ids, cfg, processors, deadline_ms=submit_deadline_ms)
+            if degraded:
+                state["degraded"] = True
+            return new_ids
         return submit
 
     def _run_constrained(names, config, checklist, deadline_ms,
@@ -631,7 +594,7 @@ def create_backend(pipeline: Ratatouille,
 
     def _run_generation(names, config, checklist, deadline_ms,
                         allow_partial: bool, retrieve_count: int = 0) -> dict:
-        """Generate through whatever decode path is configured.
+        """Generate through the fleet.
 
         Returns the JSON payload; deadline expiry becomes either a
         partial recipe (``"partial": true``, when the client opted in
@@ -643,27 +606,14 @@ def create_backend(pipeline: Ratatouille,
             return _run_constrained(names, config, checklist, deadline_ms,
                                     allow_partial, exemplars,
                                     retrieval_degraded)
-        if engine is None:
-            if config.speculative_k > 0 and config.draft is None:
-                config.draft = draft
-            recipe = pipeline.generate(names, generation=config,
-                                       checklist=checklist,
-                                       exemplars=exemplars)
-            return _generation_payload(recipe, exemplars,
-                                       retrieval_degraded)
         prompt_text, prompt_ids, config, processors = pipeline.prepare_prompt(
             names, generation=config, checklist=checklist,
             exemplars=exemplars)
         clock = registry.clock
         start = clock.now()
-        degraded = False
         try:
-            if supervisor is not None:
-                new_ids, degraded = supervisor.generate_ex(
-                    prompt_ids, config, processors, deadline_ms=deadline_ms)
-            else:
-                new_ids = engine.generate(prompt_ids, config, processors,
-                                          deadline_ms=deadline_ms)
+            new_ids, degraded = router.generate_ex(
+                prompt_ids, config, processors, deadline_ms=deadline_ms)
         except DeadlineExceededError as exc:
             if not (allow_partial and exc.tokens):
                 raise
@@ -681,28 +631,9 @@ def create_backend(pipeline: Ratatouille,
             payload["degraded"] = True
         return payload
 
-    def _fleet_health() -> dict:
-        """Aggregate fleet state; a single engine is a fleet of one."""
-        if router is not None:
-            return router.fleet_health()
-        if engine is None:
-            # In-process decoding has no serving thread to die.
-            return {"replicas": 1, "healthy": 1, "draining": 0,
-                    "status": "ok"}
-        if supervisor is not None:
-            state = supervisor.state
-            status = {"serving": "ok", "restarting": "degraded"}.get(
-                state, "dead")
-            return {"replicas": 1,
-                    "healthy": int(state == "serving"),
-                    "draining": 0, "status": status}
-        alive = engine.running and engine.crashed is None
-        return {"replicas": 1, "healthy": int(alive), "draining": 0,
-                "status": "ok" if alive else "dead"}
-
     @app.route("/api/health")
     def health(request: Request) -> Response:
-        fleet = _fleet_health()
+        fleet = router.fleet_health()
         return Response.json({
             "status": ("draining" if lifecycle["draining"]
                        else fleet["status"]),
@@ -726,7 +657,7 @@ def create_backend(pipeline: Ratatouille,
             },
             "durability": {
                 "journal": journal is not None,
-                "spill": spill is not None,
+                "spill": router.spill is not None,
             },
             "decoding": {
                 "strategies": ["greedy", "sample", "beam", "mcts"],
@@ -763,32 +694,17 @@ def create_backend(pipeline: Ratatouille,
         retrieve_count = _parse_retrieve_k(payload, default_retrieve_k,
                                            retrieval_index is not None)
         allow_partial = bool(payload.get("partial", False))
-        cost = _admission_cost(config)
-        shed = _admit(cost)
+        shed = _admit(_admission_cost(config))
         if shed is not None:
             return shed
         try:
             body = _run_generation(names, config, checklist, deadline_ms,
                                    allow_partial, retrieve_count)
-        except DeadlineExceededError as exc:
-            return Response.error(str(exc), status=504)
-        except EngineQueueFullError as exc:
-            return Response.error(str(exc), status=429)
-        except OverloadShedError as exc:
-            return Response.error(
-                str(exc), status=503,
-                headers={"Retry-After": str(exc.retry_after)})
-        except EngineCrashedError as exc:
-            # The serving replica died mid-request.  502, not 503: the
-            # response is deterministic, so an idempotent resend (the
-            # client RetryPolicy does this) returns the identical
-            # recipe — usually from a healthy replica.
-            return Response.error(str(exc), status=502)
-        except (EngineStoppedError, EngineUnavailableError,
-                NoReplicaAvailableError) as exc:
-            return Response.error(str(exc), status=503)
-        finally:
-            _release(cost)
+        except Exception as exc:  # noqa: BLE001 - mapped or re-raised
+            response = _serving_error_response(exc)
+            if response is None:
+                raise
+            return response
         return Response.json(body)
 
     def _forget_idempotency(key: Optional[str], job_id: str) -> None:
@@ -830,15 +746,10 @@ def create_backend(pipeline: Ratatouille,
             pass
 
     def _make_work(job_id, names, config, checklist, deadline_ms,
-                   allow_partial, retrieve_count, cost, admitted):
+                   allow_partial, retrieve_count):
         """Build the queued callable for one async generation.
 
-        Shared by the live submit path (``admitted=True`` — the
-        admission cost is released when the job resolves, not when it
-        is queued: queued-but-unstarted jobs are exactly the backlog
-        admission control must count) and journal replay
-        (``admitted=False`` — the original process's admission died
-        with it).
+        Shared by the live submit path and journal replay.
         """
         def work():
             try:
@@ -849,9 +760,6 @@ def create_backend(pipeline: Ratatouille,
                 _journal_completion(job_id, "failed",
                                     error=f"{type(exc).__name__}: {exc}")
                 raise
-            finally:
-                if admitted:
-                    _release(cost)
             _journal_completion(job_id, "done", result=result)
             return result
         return work
@@ -869,7 +777,6 @@ def create_backend(pipeline: Ratatouille,
         retrieve_count = _parse_retrieve_k(payload, default_retrieve_k,
                                            retrieval_index is not None)
         allow_partial = bool(payload.get("partial", False))
-        cost = _admission_cost(config)
         # The job id is minted before the journal append so journal and
         # queue agree; the idempotency claim is provisional until the
         # submit sticks (journal failure / full queue releases it).
@@ -899,7 +806,7 @@ def create_backend(pipeline: Ratatouille,
                     {"job_id": existing,
                      "status": _job_status_of(existing),
                      "deduplicated": True}, status=202)
-        shed = _admit(cost)
+        shed = _admit(_admission_cost(config))
         if shed is not None:
             _forget_idempotency(idem_key, job_id)
             return shed
@@ -910,17 +817,15 @@ def create_backend(pipeline: Ratatouille,
             except JournalError as exc:
                 # Cannot make the acknowledgement durable => refuse the
                 # work *before* the 202, never acknowledge-then-lose.
-                _release(cost)
                 _forget_idempotency(idem_key, job_id)
                 return Response.error(
                     f"journal unavailable: {exc}", status=503,
                     headers={"Retry-After": "1"})
         work = _make_work(job_id, names, config, checklist, deadline_ms,
-                          allow_partial, retrieve_count, cost, admitted=True)
+                          allow_partial, retrieve_count)
         try:
             jobs.submit(work, job_id=job_id)
         except (QueueFullError, RuntimeError, ValueError) as exc:
-            _release(cost)
             _forget_idempotency(idem_key, job_id)
             # Journaled but never queued: a "rejected" completion stops
             # replay from resurrecting work the client was refused.
@@ -933,10 +838,6 @@ def create_backend(pipeline: Ratatouille,
 
     @app.route("/api/generate_stream", methods=("POST",))
     def generate_stream(request: Request) -> Response:
-        if engine is None:
-            return Response.error(
-                "streaming requires the serving engine "
-                "(backend started with use_engine=False)", status=503)
         payload = request.json()
         names, config, checklist = _parse_generation_request(
             payload, max_new_tokens_cap, default_speculative_k,
@@ -963,39 +864,35 @@ def create_backend(pipeline: Ratatouille,
 
             def mcts_events():
                 try:
-                    try:
-                        prompt_text, new_ids, cfg, info = (
-                            run_constrained_generation(
-                                pipeline, names, config,
-                                checklist=checklist, exemplars=exemplars,
-                                submit=_engine_submit(state),
-                                catalog=catalog,
-                                retrieval_index=retrieval_index,
-                                registry=registry,
-                                deadline_ms=deadline_ms))
-                        recipe = pipeline.finish_recipe(
-                            prompt_text, new_ids, names,
-                            elapsed=clock.now() - start)
-                    except DeadlineExceededError as exc:
-                        yield {"error": str(exc),
-                               "deadline_exceeded": True,
-                               "tokens_emitted": 0}
-                        return
-                    except Exception as exc:  # noqa: BLE001 - headers sent
-                        yield {"error": str(exc)}
-                        return
-                    for token in new_ids:
-                        yield {"token": int(token),
-                               "text": pipeline.tokenizer.decode(
-                                   [int(token)])}
-                    body = _generation_payload(recipe, exemplars,
-                                               retrieval_degraded)
-                    body.update(info)
-                    if state["degraded"]:
-                        body["degraded"] = True
-                    yield {"done": True, "recipe": body}
-                finally:
-                    _release(cost)
+                    prompt_text, new_ids, cfg, info = (
+                        run_constrained_generation(
+                            pipeline, names, config,
+                            checklist=checklist, exemplars=exemplars,
+                            submit=_engine_submit(state),
+                            catalog=catalog,
+                            retrieval_index=retrieval_index,
+                            registry=registry,
+                            deadline_ms=deadline_ms))
+                    recipe = pipeline.finish_recipe(
+                        prompt_text, new_ids, names,
+                        elapsed=clock.now() - start)
+                except DeadlineExceededError as exc:
+                    yield {"error": str(exc),
+                           "deadline_exceeded": True,
+                           "tokens_emitted": 0}
+                    return
+                except Exception as exc:  # noqa: BLE001 - headers sent
+                    yield {"error": str(exc)}
+                    return
+                for token in new_ids:
+                    yield {"token": int(token),
+                           "text": pipeline.tokenizer.decode([int(token)])}
+                body = _generation_payload(recipe, exemplars,
+                                           retrieval_degraded)
+                body.update(info)
+                if state["degraded"]:
+                    body["degraded"] = True
+                yield {"done": True, "recipe": body}
 
             return Response.event_stream(mcts_events())
         prompt_text, prompt_ids, config, processors = pipeline.prepare_prompt(
@@ -1015,23 +912,13 @@ def create_backend(pipeline: Ratatouille,
         if shed is not None:
             return shed
         try:
-            handle = engine.submit(prompt_ids, config, processors,
+            handle = router.submit(prompt_ids, config, processors,
                                    deadline_ms=deadline_ms)
-        except EngineQueueFullError as exc:
-            _release(cost)
-            return Response.error(str(exc), status=429)
-        except OverloadShedError as exc:
-            _release(cost)
-            return Response.error(
-                str(exc), status=503,
-                headers={"Retry-After": str(exc.retry_after)})
-        except EngineCrashedError as exc:
-            _release(cost)
-            return Response.error(str(exc), status=502)
-        except (EngineStoppedError, EngineUnavailableError,
-                NoReplicaAvailableError) as exc:
-            _release(cost)
-            return Response.error(str(exc), status=503)
+        except Exception as exc:  # noqa: BLE001 - mapped or re-raised
+            response = _serving_error_response(exc)
+            if response is None:
+                raise
+            return response
 
         def events():
             emitted = 0
@@ -1066,9 +953,7 @@ def create_backend(pipeline: Ratatouille,
                 # Runs on normal completion AND when the framework
                 # closes an abandoned stream (client disconnected):
                 # cancel so the engine does not keep decoding to
-                # max_new_tokens in a batch slot nobody is reading,
-                # and return the admitted work to the gate.
-                _release(cost)
+                # max_new_tokens in a batch slot nobody is reading.
                 if not handle.done:
                     handle.cancel()
 
@@ -1121,8 +1006,6 @@ def create_backend(pipeline: Ratatouille,
             # so a faulted lookup is an explicit 503, never a hang/500.
             return Response.error(
                 f"retrieval unavailable: {exc}", status=503)
-        finally:
-            _release(SEARCH_ADMISSION_COST)
         return Response.json({
             "hits": [hit.to_dict(include_text=include_text)
                      for hit in hits],
@@ -1143,26 +1026,16 @@ def create_backend(pipeline: Ratatouille,
 
     @app.route("/api/engine")
     def engine_stats(request: Request) -> Response:
-        if engine is None:
-            return Response.json({"enabled": False})
-        return Response.json({"enabled": True, **engine.stats()})
+        return Response.json(router.engine_stats())
 
     @app.route("/api/cluster")
     def cluster_stats(request: Request) -> Response:
-        if router is None:
-            return Response.json({"enabled": False})
-        return Response.json({"enabled": True, **router.stats()})
+        return Response.json(router.stats())
 
     @app.route("/api/resilience")
     def resilience_stats(request: Request) -> Response:
-        payload = {
-            "enabled": resilience is not None,
-            "default_deadline_ms": default_deadline_ms,
-            "admission": admission.stats() if admission is not None else None,
-            "supervisor": (engine.stats()["supervisor"]
-                           if supervisor is not None else None),
-        }
-        return Response.json(payload)
+        return Response.json({"default_deadline_ms": default_deadline_ms,
+                              **router.resilience_stats()})
 
     @app.route("/api/job")
     def job_status(request: Request) -> Response:
@@ -1261,7 +1134,7 @@ def create_backend(pipeline: Ratatouille,
                 continue
             work = _make_work(jid, names, config, checklist, deadline_ms,
                               bool(payload.get("partial", False)),
-                              retrieve_count, cost=0, admitted=False)
+                              retrieve_count)
             try:
                 # block=True: a backlog larger than max_pending must
                 # re-enqueue completely, not lose its tail to a 429.
@@ -1295,9 +1168,9 @@ def create_backend(pipeline: Ratatouille,
            leftovers are failed with the named shutdown error — their
            journal records stay incomplete, so the *next* process
            replays them;
-        3. spill the prefix cache(s) — supervisors and routers do this
-           inside their own ``stop()``, a bare engine is spilled here;
-        4. compact + close the journal and stop the engine.
+        3. stop the fleet — each replica's supervisor spills its prefix
+           cache inside ``stop()`` (skipping crashed engines);
+        4. compact + close the journal.
 
         Idempotent: a second call returns the first call's summary.
         """
@@ -1307,23 +1180,10 @@ def create_backend(pipeline: Ratatouille,
         drained = jobs.wait_idle(timeout=deadline_seconds)
         leftover = jobs.unfinished
         jobs.shutdown()
-        spilled = False
-        if engine is not None:
-            if supervisor is None and router is None:
-                if spill is not None:
-                    try:
-                        spill.save(engine.prefix_cache)
-                        spilled = True
-                    except Exception:  # noqa: BLE001 - next start is cold
-                        pass
-                engine.stop()
-            else:
-                # Supervisor/router stop() spills each serving engine's
-                # cache itself (and skips crashed ones); it records the
-                # real outcome so the summary never claims a warm
-                # snapshot that was not actually written.
-                engine.stop()
-                spilled = getattr(engine, "last_spill_saved", None) is True
+        # The router records the real spill outcome, so the summary
+        # never claims a warm snapshot that was not actually written.
+        router.stop()
+        spilled = router.last_spill_saved is True
         journal_stats = None
         if journal is not None:
             try:

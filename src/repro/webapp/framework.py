@@ -31,14 +31,20 @@ class Request:
     headers: Dict[str, str]
     body: bytes = b""
 
-    def json(self) -> Any:
-        """Parse the body as JSON; raises ``ValueError`` on bad input."""
+    def json(self) -> Dict[str, Any]:
+        """Parse the body as a JSON object; ``ValueError`` (→ 400) on bad
+        input, including valid JSON that is not an object (``[1]``,
+        ``"x"``) — every handler reads named fields from the payload."""
         if not self.body:
             raise ValueError("empty request body")
         try:
-            return json.loads(self.body.decode("utf-8"))
+            payload = json.loads(self.body.decode("utf-8"))
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid JSON body: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ValueError(f"request body must be a JSON object, got "
+                             f"{type(payload).__name__}")
+        return payload
 
 
 @dataclass

@@ -20,13 +20,13 @@ from .framework import Server
 from .frontend import create_frontend
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.webapp.serve",
-        description="Run a Ratatouille microservice.")
-    sub = parser.add_subparsers(dest="service", required=True)
+def add_backend_arguments(backend: argparse.ArgumentParser) -> None:
+    """Declare the backend service's flags on ``backend``.
 
-    backend = sub.add_parser("backend", help="the JSON generation API")
+    The one definition both ``python -m repro.webapp.serve backend``
+    and ``repro serve`` parse with; :func:`build_backend_server` reads
+    the resulting namespace.
+    """
     backend.add_argument("--port", type=int, default=8000,
                          help="listen port (0 = pick a free one)")
     backend.add_argument("--host", default="127.0.0.1")
@@ -36,28 +36,21 @@ def build_parser() -> argparse.ArgumentParser:
                          help="corpus size when training on the fly")
     backend.add_argument("--train-steps", type=int, default=200,
                          help="training steps when no checkpoint is given")
-    backend.add_argument("--engine", action=argparse.BooleanOptionalAction,
-                         default=True,
-                         help="route generation through the continuous-"
-                              "batching serving engine (--no-engine for the "
-                              "in-process decoder)")
     backend.add_argument("--deadline-ms", type=float, default=None,
                          help="default per-request latency budget; expired "
                               "requests get a partial result or 504")
     backend.add_argument("--shed-watermark", type=int, default=None,
                          help="admission-control high-water mark in queued "
-                              "decode tokens; beyond it requests shed with "
+                              "decode tokens per replica; once every "
+                              "replica is past it requests shed with "
                               "503 + Retry-After")
-    backend.add_argument("--supervise", action=argparse.BooleanOptionalAction,
-                         default=None,
-                         help="wrap the engine in a restarting watchdog "
-                              "(defaults on when any resilience flag is set)")
     backend.add_argument("--max-restarts", type=int, default=3,
-                         help="engine restart budget for the supervisor")
+                         help="restart budget of each replica's engine "
+                              "supervisor")
     backend.add_argument("--degraded-fallback",
                          action=argparse.BooleanOptionalAction, default=False,
                          help="serve sequential (slow, marked degraded) "
-                              "responses while the engine is down")
+                              "responses when no replica can serve")
     backend.add_argument("--speculative",
                          action=argparse.BooleanOptionalAction, default=False,
                          help="enable speculative decoding: an n-gram draft "
@@ -76,18 +69,18 @@ def build_parser() -> argparse.ArgumentParser:
                               "shared weights (fp32 is bit-identical; "
                               "int8 quantizes the GEMM weights)")
     backend.add_argument("--replicas", type=int, default=1,
-                         help="serve through a fleet of N supervised engine "
-                              "replicas behind the prefix-affinity router "
-                              "(1 = single engine; see docs/CLUSTER.md)")
+                         help="supervised engine replicas behind the "
+                              "prefix-affinity router (default 1, a fleet "
+                              "of one; see docs/CLUSTER.md)")
     backend.add_argument("--affinity-tokens", type=int, default=32,
                          help="leading prompt tokens hashed for replica "
-                              "placement (with --replicas > 1)")
+                              "placement")
     backend.add_argument("--fleet-cache",
                          action=argparse.BooleanOptionalAction, default=True,
                          help="fleet-wide prefix-cache tier: cache-aware "
                               "placement over published prefixes plus "
-                              "cross-replica KV borrowing (with "
-                              "--replicas > 1; see docs/CLUSTER.md)")
+                              "cross-replica KV borrowing (see "
+                              "docs/CLUSTER.md)")
     backend.add_argument("--publish-tokens", type=int, default=128,
                          help="depth cap on prefixes replicas publish to "
                               "the fleet cache index (deeper entries stay "
@@ -112,9 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "jobs are fsync'd before the 202 and "
                               "replayed on restart (docs/DURABILITY.md)")
     backend.add_argument("--spill-dir", default=None,
-                         help="prefix-cache spill directory: the KV cache "
-                              "is snapshotted on clean shutdown and "
-                              "mmap-reloaded on the next start")
+                         help="prefix-cache spill directory: each replica's "
+                              "KV cache is snapshotted to <dir>/rN on clean "
+                              "shutdown and mmap-reloaded on the next start")
     backend.add_argument("--max-mcts-rollouts", type=int, default=None,
                          help="cap on per-request mcts_rollouts for "
                               "strategy=mcts search decoding; admission "
@@ -125,6 +118,16 @@ def build_parser() -> argparse.ArgumentParser:
                               "SIGTERM stops admission, waits this long "
                               "for in-flight jobs, then flushes journal "
                               "and cache spill and exits 0")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro.webapp.serve",
+        description="Run a Ratatouille microservice.")
+    sub = parser.add_subparsers(dest="service", required=True)
+
+    add_backend_arguments(
+        sub.add_parser("backend", help="the JSON generation API"))
 
     frontend = sub.add_parser("frontend", help="the static picker UI")
     frontend.add_argument("--port", type=int, default=8080)
@@ -158,6 +161,59 @@ def _load_or_build_index(pipeline: Ratatouille,
     return index
 
 
+def build_backend_server(args: argparse.Namespace) -> Server:
+    """Construct (but do not start) the backend from parsed flags.
+
+    ``args`` is a namespace parsed by a parser carrying
+    :func:`add_backend_arguments` — ``repro serve`` hands over its own.
+    """
+    if args.checkpoint:
+        pipeline = Ratatouille.load(args.checkpoint)
+    else:
+        print(f"no --checkpoint given; training a demo model "
+              f"({args.train_recipes} recipes, {args.train_steps} steps)",
+              file=sys.stderr)
+        config = PipelineConfig(
+            model_name="distilgpt2",
+            training=TrainingConfig(max_steps=args.train_steps,
+                                    batch_size=8, eval_every=10**9))
+        pipeline = Ratatouille.quickstart(
+            model_name="distilgpt2", num_recipes=args.train_recipes,
+            seed=0, config=config)
+    resilience = ResilienceConfig(
+        default_deadline_ms=args.deadline_ms,
+        shed_watermark_tokens=args.shed_watermark,
+        max_restarts=args.max_restarts,
+        degraded_fallback=args.degraded_fallback)
+    draft = None
+    speculative_k = 0
+    if args.speculative:
+        print(f"fitting ngram:{args.draft_order} speculative draft on "
+              f"the training corpus", file=sys.stderr)
+        draft = pipeline.build_draft(order=args.draft_order)
+        speculative_k = args.speculative_k
+    retrieval_index = None
+    if args.retrieval or args.retrieve_k > 0:
+        retrieval_index = _load_or_build_index(pipeline, args.index_dir)
+    app = create_backend(pipeline, resilience=resilience, draft=draft,
+                         speculative_k=speculative_k,
+                         replicas=args.replicas,
+                         affinity_tokens=args.affinity_tokens,
+                         fleet_cache=args.fleet_cache,
+                         publish_tokens=args.publish_tokens,
+                         kernels=(None if args.kernels == "off"
+                                  else args.kernels),
+                         retrieval_index=retrieval_index,
+                         retrieve_k=args.retrieve_k,
+                         journal_dir=args.journal_dir,
+                         spill_dir=args.spill_dir,
+                         **({"max_mcts_rollouts": args.max_mcts_rollouts}
+                            if args.max_mcts_rollouts is not None
+                            else {}))
+    app.drain_deadline = args.drain_deadline
+    return Server(app, host=args.host, port=args.port)
+
+
 def build_server(argv: List[str]) -> Server:
     """Construct (but do not block on) the requested service.
 
@@ -166,67 +222,9 @@ def build_server(argv: List[str]) -> Server:
     """
     args = build_parser().parse_args(argv)
     if args.service == "backend":
-        if args.checkpoint:
-            pipeline = Ratatouille.load(args.checkpoint)
-        else:
-            print(f"no --checkpoint given; training a demo model "
-                  f"({args.train_recipes} recipes, {args.train_steps} steps)",
-                  file=sys.stderr)
-            config = PipelineConfig(
-                model_name="distilgpt2",
-                training=TrainingConfig(max_steps=args.train_steps,
-                                        batch_size=8, eval_every=10**9))
-            pipeline = Ratatouille.quickstart(
-                model_name="distilgpt2", num_recipes=args.train_recipes,
-                seed=0, config=config)
-        resilience = None
-        wants_resilience = (args.deadline_ms is not None
-                            or args.shed_watermark is not None
-                            or args.supervise
-                            or args.degraded_fallback)
-        if wants_resilience:
-            supervise = args.supervise
-            if supervise is None:
-                supervise = args.engine  # default on with the engine
-            resilience = ResilienceConfig(
-                default_deadline_ms=args.deadline_ms,
-                shed_watermark_tokens=args.shed_watermark,
-                supervise=bool(supervise and args.engine),
-                max_restarts=args.max_restarts,
-                degraded_fallback=args.degraded_fallback)
-        draft = None
-        speculative_k = 0
-        if args.speculative:
-            print(f"fitting ngram:{args.draft_order} speculative draft on "
-                  f"the training corpus", file=sys.stderr)
-            draft = pipeline.build_draft(order=args.draft_order)
-            speculative_k = args.speculative_k
-        if args.replicas > 1 and not args.engine:
-            raise SystemExit("--replicas requires the serving engine "
-                             "(drop --no-engine)")
-        retrieval_index = None
-        if args.retrieval or args.retrieve_k > 0:
-            retrieval_index = _load_or_build_index(pipeline, args.index_dir)
-        app = create_backend(pipeline, use_engine=args.engine,
-                             resilience=resilience, draft=draft,
-                             speculative_k=speculative_k,
-                             replicas=args.replicas,
-                             affinity_tokens=args.affinity_tokens,
-                             fleet_cache=args.fleet_cache,
-                             publish_tokens=args.publish_tokens,
-                             kernels=(None if args.kernels == "off"
-                                      else args.kernels),
-                             retrieval_index=retrieval_index,
-                             retrieve_k=args.retrieve_k,
-                             journal_dir=args.journal_dir,
-                             spill_dir=args.spill_dir,
-                             **({"max_mcts_rollouts": args.max_mcts_rollouts}
-                                if args.max_mcts_rollouts is not None
-                                else {}))
-        app.drain_deadline = args.drain_deadline
-    else:
-        app = create_frontend(args.backend_url)
-    return Server(app, host=args.host, port=args.port)
+        return build_backend_server(args)
+    return Server(create_frontend(args.backend_url), host=args.host,
+                  port=args.port)
 
 
 def run_until_signalled(server: Server) -> int:

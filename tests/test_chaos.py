@@ -116,7 +116,7 @@ class TestEveryNamedPoint:
                 assert "title" in recipe
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
-                stats = app.engine.stats()
+                stats = app.engine.engine_stats()["replicas"]["r0"]
                 if (stats["active_sequences"] == 0
                         and stats["queue_depth"] == 0):
                     break
@@ -137,7 +137,7 @@ class TestEveryNamedPoint:
         pipeline = _tiny_pipeline()
         registry = MetricsRegistry()
         index = pipeline.build_retrieval_index(registry=registry)
-        app = create_backend(pipeline, registry=registry, use_engine=False,
+        app = create_backend(pipeline, registry=registry,
                              retrieval_index=index, retrieve_k=2)
 
         def post(path, payload):
@@ -146,35 +146,36 @@ class TestEveryNamedPoint:
 
         injector = FaultInjector(
             {"retrieval.search": FaultSpec(schedule={0})})
-        with inject_faults(injector):
-            # Call #0: the exemplar fetch faults -> degraded, 200.
-            response = post("/api/generate",
-                            {"ingredients": ["garlic", "onion"],
-                             "max_new_tokens": 6, "retrieve_k": 2})
-            assert response.status == 200
-            body = _json.loads(response.body)
-            assert body["retrieval_degraded"] is True
-            assert body["retrieved_k"] == 0
-            assert "title" in body
-            # Novelty (exempted call #1) still rides along.
-            assert "novelty" in body
-            # Calls #1+: retrieval recovered — conditioning works again.
-            response = post("/api/generate",
-                            {"ingredients": ["garlic", "onion"],
-                             "max_new_tokens": 6, "retrieve_k": 2})
-            body = _json.loads(response.body)
-            assert response.status == 200
-            assert body["retrieved_k"] == 2
-            assert "retrieval_degraded" not in body
-        snapshot = injector.snapshot()["retrieval.search"]
-        assert snapshot["faults"] == 1
-        # /api/search has nothing to degrade to: explicit 503.
-        with inject_faults(FaultInjector(
-                {"retrieval.search": FaultSpec(schedule={0})})):
-            response = post("/api/search", {"query": "garlic soup", "k": 2})
-            assert response.status == 503
-            response = post("/api/search", {"query": "garlic soup", "k": 2})
-            assert response.status == 200
+        with app.engine:
+            with inject_faults(injector):
+                # Call #0: the exemplar fetch faults -> degraded, 200.
+                response = post("/api/generate",
+                                {"ingredients": ["garlic", "onion"],
+                                 "max_new_tokens": 6, "retrieve_k": 2})
+                assert response.status == 200
+                body = _json.loads(response.body)
+                assert body["retrieval_degraded"] is True
+                assert body["retrieved_k"] == 0
+                assert "title" in body
+                # Novelty (exempted call #1) still rides along.
+                assert "novelty" in body
+                # Calls #1+: retrieval recovered — conditioning works
+                # again.
+                response = post("/api/generate",
+                                {"ingredients": ["garlic", "onion"],
+                                 "max_new_tokens": 6, "retrieve_k": 2})
+                body = _json.loads(response.body)
+                assert response.status == 200
+                assert body["retrieved_k"] == 2
+                assert "retrieval_degraded" not in body
+            snapshot = injector.snapshot()["retrieval.search"]
+            assert snapshot["faults"] == 1
+            # /api/search has nothing to degrade to: explicit 503.
+            with inject_faults(FaultInjector(
+                    {"retrieval.search": FaultSpec(schedule={0})})):
+                search = {"query": "garlic soup", "k": 2}
+                assert post("/api/search", search).status == 503
+                assert post("/api/search", search).status == 200
 
     def test_journal_append_fault_refuses_durably(self, tmp_path):
         from repro.durability import JobJournal, JournalError
@@ -220,8 +221,7 @@ class TestEveryNamedPoint:
         from repro.webapp import Request, create_backend
 
         pipeline = _tiny_pipeline()
-        app = create_backend(pipeline, registry=MetricsRegistry(),
-                             use_engine=False)
+        app = create_backend(pipeline, registry=MetricsRegistry())
 
         def post(payload):
             return app.dispatch(Request(
@@ -234,7 +234,7 @@ class TestEveryNamedPoint:
                    "constraints": {"exclude_ingredients": ["garlic"]}}
         injector = FaultInjector(
             {"decoding.reward": FaultSpec(schedule={0})})
-        with inject_faults(injector):
+        with inject_faults(injector), app.engine:
             response = post(payload)
             assert response.status == 200
             body = _json.loads(response.body)

@@ -63,7 +63,7 @@ def test_supervised_restart_with_kernels_and_retrieval(pipeline, tmp_path):
     index = pipeline.build_retrieval_index(registry=registry)
     app = create_backend(
         pipeline, registry=registry,
-        resilience=ResilienceConfig(supervise=True, max_restarts=3,
+        resilience=ResilienceConfig(max_restarts=3,
                                     restart_backoff_seconds=0.01),
         kernels="int8", retrieval_index=index,
         journal_dir=tmp_path / "journal", spill_dir=tmp_path / "spill")
@@ -75,15 +75,16 @@ def test_supervised_restart_with_kernels_and_retrieval(pipeline, tmp_path):
                              {"query": "garlic chicken", "k": 3}))
         assert len(search["hits"]) == 3
 
-        crashed_engine = app.engine.engine
+        supervisor = app.router._replicas["r0"].supervisor
+        crashed_engine = supervisor.engine
         injector = FaultInjector(
             {"prefix_cache.get": FaultSpec(schedule={0})})
         with inject_faults(injector):
             response = _post(app, "/api/generate", PAYLOAD)
             assert response.status >= 500  # the crash resolved, loudly
-            assert _wait_for(lambda: app.engine.restarts == 1)
-        assert _wait_for(lambda: app.engine.state == "serving")
-        assert app.engine.engine is not crashed_engine
+            assert _wait_for(lambda: supervisor.restarts == 1)
+        assert _wait_for(lambda: supervisor.state == "serving")
+        assert supervisor.engine is not crashed_engine
 
         # The replacement engine serves the same frozen int8 weights:
         # recovered output is bit-identical to pre-crash output.
@@ -121,17 +122,18 @@ def test_restart_preserves_quantized_weight_sharing(pipeline, tmp_path):
     registry = MetricsRegistry()
     app = create_backend(
         pipeline, registry=registry,
-        resilience=ResilienceConfig(supervise=True, max_restarts=2,
+        resilience=ResilienceConfig(max_restarts=2,
                                     restart_backoff_seconds=0.01),
         kernels="int8", journal_dir=tmp_path / "journal")
     try:
         store_before = pipeline.model.kernels.store
+        supervisor = app.router._replicas["r0"].supervisor
         injector = FaultInjector(
             {"prefix_cache.get": FaultSpec(schedule={0})})
         with inject_faults(injector):
             _post(app, "/api/generate", PAYLOAD)
-            assert _wait_for(lambda: app.engine.restarts == 1)
-        assert _wait_for(lambda: app.engine.state == "serving")
+            assert _wait_for(lambda: supervisor.restarts == 1)
+        assert _wait_for(lambda: supervisor.state == "serving")
         # The replacement did not re-quantize: one shared weight store.
         assert pipeline.model.kernels.store is store_before
     finally:

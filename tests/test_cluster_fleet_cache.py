@@ -229,6 +229,19 @@ class TestPrefixCacheFleetHooks:
         assert cache.stats.bytes <= 20
         assert not cache.pin([9])  # absent key
 
+    def test_pin_is_a_refcounted_lease(self):
+        cache = PrefixCache(max_bytes=100)
+        cache.insert([1], "hot", nbytes=10)
+        assert cache.pin([1]) and cache.pin([1])  # two borrowers
+        assert cache.unpin([1])
+        assert cache.pinned_count() == 1  # one lease still out
+        assert cache.unpin([1])
+        assert cache.pinned_count() == 0
+        assert cache.unpin([1])  # an extra release never goes negative
+        assert cache.pin([1])
+        assert cache.pinned_count() == 1
+        assert not cache.unpin([9])  # absent key
+
 
 class TestRouterCacheAwarePlacement:
     def _warm_on_other(self, router, prompt):
@@ -296,9 +309,48 @@ class TestRouterCacheAwarePlacement:
             borrowed_keys = [key for key, _, _
                              in other_cache.entries_snapshot()]
             assert tuple(prompt) not in borrowed_keys
-            # ...and the owner's copy got pinned against cold churn.
+            # ...and the owner's copy was leased only while the borrower
+            # was in flight: the pin retired with the request.
             home_cache = router._replicas[home].supervisor.prefix_cache
-            assert home_cache._entries[tuple(prompt)].pinned
+            router._observe_health()  # the heartbeat's retirement sweep
+            assert home_cache.pinned_count() == 0
+
+    def test_borrow_lease_pins_owner_while_in_flight(self, model, registry):
+        with _router(model, registry) as router:
+            prompt = [1, 2, 3]
+            home = router.affinity_replica(prompt)
+            router.generate(prompt, CONFIG)  # warm home
+            router.drain(home, timeout=10)
+            home_cache = router._replicas[home].supervisor.prefix_cache
+            injector = FaultInjector(
+                {"model.forward": FaultSpec(delay_seconds=0.05)})
+            with inject_faults(injector):
+                diverted = router.submit(prompt, CONFIG)
+                # The borrower is decoding: the owner's copy is leased.
+                assert home_cache.pinned_count() == 1
+                diverted.result(timeout=30)
+            router._observe_health()
+            assert home_cache.pinned_count() == 0
+
+    def test_quiet_fleet_holds_no_pins(self, model, registry):
+        # Borrows across two replicas (drain flips which one holds the
+        # prefixes), then quiet: every lease is back, on every cache.
+        with _router(model, registry) as router:
+            prompts = [[1, 2, 3], [4, 5, 6], [7, 8, 9], [1, 2, 3, 4]]
+            for round_ in range(2):
+                for name in router.replica_names():
+                    router.drain(name, timeout=10)
+                    handles = [router.submit(p, CONFIG) for p in prompts]
+                    for handle in handles:
+                        handle.result(timeout=30)
+                    router.readmit(name)
+            assert router.stats()["cache_tier"]["borrows"] >= 1
+            for name in router.replica_names():
+                router.drain(name, timeout=10)  # quiet: nothing in flight
+            router._observe_health()
+            for name in router.replica_names():
+                cache = router._replicas[name].supervisor.prefix_cache
+                assert cache.pinned_count() == 0
 
     def test_dead_holder_recomputes_identically(self, model, registry):
         with _router(model, registry) as router:

@@ -64,39 +64,39 @@ class TestBackpressure:
             queue.shutdown()
 
     def test_backend_returns_429_when_full(self, registry):
-        class FakeModel:
-            def num_parameters(self):
-                return 0
+        from repro.core import PipelineConfig, Ratatouille
+        from repro.training import TrainingConfig
 
-        class FakeTokenizer:
-            vocab_size = 1
-
-        class FakePipeline:
-            model = FakeModel()
-            tokenizer = FakeTokenizer()
-
-            def generate(self, names, generation=None, checklist=False):
-                raise AssertionError("should never run: queue is full")
-
+        # A tiny real pipeline: every backend serves through a router
+        # fleet, which needs a model that can back a serving engine.
+        pipeline = Ratatouille.quickstart(
+            model_name="word-lstm", num_recipes=20, seed=0,
+            config=PipelineConfig(
+                model_name="word-lstm",
+                training=TrainingConfig(max_steps=1, batch_size=4,
+                                        eval_every=10**9)))
         queue = JobQueue(workers=1, max_pending=1, registry=registry)
         gate = _Gate()
+        app = None
         try:
             queue.submit(gate)
             gate.entered.wait(timeout=5)
             queue.submit(lambda: 1)  # fills the only pending slot
-            # use_engine=False: FakePipeline's model cannot back a real
-            # serving engine, and this test only exercises the job queue.
-            app = create_backend(FakePipeline(), job_queue=queue,
-                                 registry=registry, use_engine=False)
+            app = create_backend(pipeline, job_queue=queue,
+                                 registry=registry)
             request = Request(method="POST", path="/api/generate_async",
                               query={}, headers={},
                               body=b'{"ingredients": ["salt"]}')
             response = app.dispatch(request)
             assert response.status == 429
             assert b"queue full" in response.body
+            # Refused before queueing: the fleet never saw the request.
+            assert app.router.stats()["admission"]["admitted_total"] == 0
         finally:
             gate.release.set()
             queue.shutdown()
+            if app is not None:
+                app.engine.stop()
 
 
 class TestWaitTimeout:

@@ -1,4 +1,4 @@
-"""Resilience primitives: fault injection and admission control.
+"""Resilience primitives: fault injection and the admission gate.
 
 The deterministic pieces of the failure envelope — the chaos suite
 (``test_chaos.py``) composes them against the full serving stack.
@@ -6,12 +6,13 @@ The deterministic pieces of the failure envelope — the chaos suite
 
 import pytest
 
+from repro.cluster import ClusterAdmissionController
 from repro.obs import MetricsRegistry
-from repro.resilience import (FAULT_POINTS, AdmissionController,
-                              FaultInjector, FaultSpec, InjectedFault,
-                              OverloadShedError, ResilienceConfig,
-                              fault_check, get_fault_injector,
-                              inject_faults, set_fault_injector)
+from repro.resilience import (FAULT_POINTS, FaultInjector, FaultSpec,
+                              InjectedFault, OverloadShedError,
+                              ResilienceConfig, fault_check,
+                              get_fault_injector, inject_faults,
+                              set_fault_injector)
 
 
 class TestFaultInjector:
@@ -119,77 +120,105 @@ class TestFaultInjector:
 
 
 class TestAdmissionController:
+    """The one admission gate on a fleet of one replica.
+
+    :class:`ClusterAdmissionController` is the only gate; with a single
+    replica its rules are the single-queue ones: shed past the
+    watermark, an idle replica admits one oversized request, and
+    ``Retry-After`` is the backlog over the throughput hint.
+    """
+
+    @pytest.fixture()
+    def router(self):
+        from repro.cluster import ClusterConfig, Router
+        from repro.models.lstm import LSTMConfig, LSTMLanguageModel
+        from repro.serving import InferenceEngine
+
+        registry = MetricsRegistry()
+        model = LSTMLanguageModel(LSTMConfig(
+            vocab_size=16, d_embed=4, d_hidden=8, num_layers=1,
+            dropout=0.0))
+        router = Router(
+            lambda name: InferenceEngine(model, registry=registry,
+                                         name=name),
+            ClusterConfig(replicas=1, watermark_tokens=100),
+            registry=registry)
+        yield router
+        router.stop()
+
     def test_admits_below_watermark_and_sheds_above(self):
-        gate = AdmissionController(100, registry=MetricsRegistry())
-        gate.try_acquire(60)
-        gate.try_acquire(40)  # exactly at the watermark
+        gate = ClusterAdmissionController(100, registry=MetricsRegistry())
+        assert gate.eligible({"r0": 60}, 40) == ["r0"]  # at the watermark
         with pytest.raises(OverloadShedError):
-            gate.try_acquire(1)
-        assert gate.queued_tokens == 100
+            gate.eligible({"r0": 100}, 1)
 
     def test_idle_gate_admits_an_oversized_request(self):
         # A request larger than the watermark must not starve forever.
-        gate = AdmissionController(50, registry=MetricsRegistry())
-        gate.try_acquire(500)
+        gate = ClusterAdmissionController(50, registry=MetricsRegistry())
+        assert gate.eligible({"r0": 0}, 500) == ["r0"]
         with pytest.raises(OverloadShedError):
-            gate.try_acquire(1)
-        gate.release(500)
-        gate.try_acquire(500)  # idle again: admitted again
+            gate.eligible({"r0": 500}, 1)
 
-    def test_release_reopens_the_gate(self):
-        gate = AdmissionController(100, registry=MetricsRegistry())
-        gate.try_acquire(100)
+    def test_release_reopens_the_gate(self, router):
+        replica = router._replicas["r0"]
+        key = replica.track(None, 100)
         with pytest.raises(OverloadShedError):
-            gate.try_acquire(10)
-        gate.release(100)
-        gate.try_acquire(10)
-        assert gate.queued_tokens == 10
+            router.check_admission(10)
+        replica.untrack(key)  # the request resolved
+        router.check_admission(10)
 
     def test_retry_after_scales_with_backlog(self):
-        gate = AdmissionController(100, tokens_per_second_hint=100.0,
-                                   registry=MetricsRegistry())
-        gate.try_acquire(100)
+        gate = ClusterAdmissionController(100, tokens_per_second_hint=100.0,
+                                          registry=MetricsRegistry())
         with pytest.raises(OverloadShedError) as small:
-            gate.try_acquire(10)
-        gate.try_acquire(0)  # no-op cost, keeps gate busy
+            gate.eligible({"r0": 100}, 10)
         with pytest.raises(OverloadShedError) as big:
-            gate.try_acquire(1000)
-        assert small.value.retry_after >= 1
-        assert big.value.retry_after >= small.value.retry_after
+            gate.eligible({"r0": 100}, 1000)
+        # ceil(max(queued + cost - watermark, queued - watermark / 2)
+        #      / tokens_per_second_hint), at least 1.
+        assert small.value.retry_after == 1
+        assert big.value.retry_after == 10
 
-    def test_would_shed_is_read_only(self):
-        gate = AdmissionController(100, registry=MetricsRegistry())
-        assert not gate.would_shed(1000)  # idle: one oversized admit
-        gate.try_acquire(90)
-        assert gate.would_shed(20)
-        assert not gate.would_shed(10)
-        assert gate.queued_tokens == 90  # probing changed nothing
+    def test_would_shed_is_read_only(self, router):
+        gate = router.admission
+        gate.eligible({"r0": 0}, 10, record_admit=False)
+        assert gate.stats()["admitted_total"] == 0  # a probe admits nothing
+        replica = router._replicas["r0"]
+        key = replica.track(None, 90)
+        with pytest.raises(OverloadShedError):
+            router.check_admission(20)
+        router.check_admission(10)
+        assert replica.queued_tokens() == 90  # probing changed nothing
+        replica.untrack(key)
 
     def test_metrics_and_stats(self):
         registry = MetricsRegistry()
-        gate = AdmissionController(100, registry=registry)
-        gate.try_acquire(80)
+        gate = ClusterAdmissionController(100, registry=registry)
+        gate.eligible({"r0": 80}, 20)
         with pytest.raises(OverloadShedError):
-            gate.try_acquire(80)
+            gate.eligible({"r0": 80}, 80)
         stats = gate.stats()
-        assert stats["admitted_total"] == 1
-        assert stats["shed_total"] == 1
-        assert registry.gauge("admission_queued_tokens").labels().value == 80
+        assert stats == {"watermark_tokens": 100, "admitted_total": 1,
+                         "shed_total": 1}
+        assert registry.counter(
+            "cluster_admission_shed_total").labels().value == 1
 
-    def test_release_never_goes_negative(self):
-        gate = AdmissionController(100, registry=MetricsRegistry())
-        gate.release(50)
-        assert gate.queued_tokens == 0
+    def test_release_never_goes_negative(self, router):
+        replica = router._replicas["r0"]
+        key = replica.track(None, 50)
+        replica.untrack(key)
+        replica.untrack(key)  # a double release is a no-op
+        assert replica.queued_tokens() == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AdmissionController(0, registry=MetricsRegistry())
+            ClusterAdmissionController(0, registry=MetricsRegistry())
         with pytest.raises(ValueError):
-            AdmissionController(10, tokens_per_second_hint=0,
-                                registry=MetricsRegistry())
-        gate = AdmissionController(10, registry=MetricsRegistry())
+            ClusterAdmissionController(10, tokens_per_second_hint=0,
+                                       registry=MetricsRegistry())
+        gate = ClusterAdmissionController(10, registry=MetricsRegistry())
         with pytest.raises(ValueError):
-            gate.try_acquire(-1)
+            gate.eligible({"r0": 0}, -1)
 
 
 class TestResilienceConfig:
@@ -197,7 +226,7 @@ class TestResilienceConfig:
         config = ResilienceConfig()
         assert config.default_deadline_ms is None
         assert config.shed_watermark_tokens is None
-        assert not config.supervise
+        assert not config.degraded_fallback
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 """Engine supervision: crash detection, bounded restarts, degraded mode.
 
+Degraded mode belongs to the :class:`~repro.cluster.Router` (a fleet of
+one here): the supervisor restarts, the router falls back.
+
 The crash vector throughout is the ``prefix_cache.get`` fault point —
 it fires inside the engine's admission loop, escapes ``_run`` and kills
 the engine thread, which is exactly the failure the supervisor exists
@@ -10,6 +13,7 @@ import time
 
 import pytest
 
+from repro.cluster import ClusterConfig, NoReplicaAvailableError, Router
 from repro.models import GenerationConfig, generate
 from repro.models.lstm import LSTMConfig, LSTMLanguageModel
 from repro.obs import MetricsRegistry, NullRegistry, NullTracer
@@ -93,26 +97,54 @@ class TestCrashRecovery:
                 sup.generate([1, 2], CONFIG)
 
     def test_degraded_fallback_serves_while_down(self):
+        # Degrading is the router's job: once its only replica's
+        # supervisor has spent the restart budget, a blocking generate
+        # decodes sequentially and says so.
         model = _model()
         registry = MetricsRegistry()
         injector = FaultInjector({"prefix_cache.get": FaultSpec(rate=1.0)})
         expected = generate(model, [1, 2, 3], CONFIG,
                             registry=NullRegistry(), tracer=NullTracer())
-        with _supervisor(model, registry=registry, max_restarts=0,
-                         fallback=sequential_fallback(model)) as sup:
+        router = Router(
+            lambda name: InferenceEngine(model, registry=registry,
+                                         name=name),
+            ClusterConfig(replicas=1, max_restarts=0),
+            registry=registry, fallback=sequential_fallback(model))
+        with router:
+            sup = router._replicas["r0"].supervisor
             with inject_faults(injector):
-                try:
-                    sup.generate([9, 9], CONFIG)
-                except EngineCrashedError:
-                    pass
+                # The crash itself is served degraded: no survivor to
+                # fail over to.
+                tokens, degraded = router.generate_ex([9, 9], CONFIG)
+                assert degraded
                 assert _wait_for(lambda: sup.state == "failed")
-                tokens, degraded = sup.generate_ex([1, 2, 3], CONFIG)
+                tokens, degraded = router.generate_ex([1, 2, 3], CONFIG)
             assert degraded
             assert tokens == expected  # degraded ≠ different output
+            assert router.generate([1, 2, 3], CONFIG) == expected
             # Streaming has no degraded mode: submit stays unavailable.
+            with pytest.raises(NoReplicaAvailableError):
+                router.submit([1, 2], CONFIG)
             with pytest.raises(EngineUnavailableError):
                 sup.submit([1, 2], CONFIG)
-        assert registry.counter("engine_degraded_requests_total").value >= 1
+        assert registry.counter(
+            "engine_degraded_requests_total").labels().value >= 3
+
+    def test_no_fallback_surfaces_the_named_error(self):
+        model = _model()
+        injector = FaultInjector({"prefix_cache.get": FaultSpec(rate=1.0)})
+        router = Router(
+            lambda name: InferenceEngine(model, name=name),
+            ClusterConfig(replicas=1, max_restarts=0),
+            registry=MetricsRegistry())
+        with router:
+            with inject_faults(injector):
+                with pytest.raises(EngineCrashedError):
+                    router.generate_ex([9, 9], CONFIG)
+            sup = router._replicas["r0"].supervisor
+            assert _wait_for(lambda: sup.state == "failed")
+            with pytest.raises(NoReplicaAvailableError):
+                router.generate([1, 2, 3], CONFIG)
 
     def test_clean_stop_is_not_a_crash(self):
         model = _model()
@@ -159,4 +191,3 @@ class TestFailInflight:
         assert block["state"] in ("serving", "stopped")
         assert block["max_restarts"] == 5
         assert block["restarts"] == 0
-        assert block["degraded_available"] is False

@@ -3,7 +3,7 @@
 Boots the real server with a router-backed backend (two replicas) and
 exercises ``/api/cluster``, the fleet-aware ``/api/health``, routed
 generation + streaming, the per-replica metric labels, and the
-502-on-replica-death → client-retry loop (satellite 2 of ISSUE 5).
+502-on-replica-death → client-retry loop.
 """
 
 import json
@@ -17,7 +17,7 @@ from repro.preprocess import preprocess
 from repro.recipedb import generate_corpus
 from repro.resilience import FaultInjector, FaultSpec, inject_faults
 from repro.training import TrainingConfig
-from repro.webapp import RatatouilleClient, Server, create_backend
+from repro.webapp import RatatouilleClient, Request, Server, create_backend
 from repro.webapp.serve import build_parser
 
 pytestmark = pytest.mark.cluster
@@ -63,7 +63,6 @@ class TestClusterEndpoints:
     def test_cluster_endpoint_exposes_fleet_stats(self, client, backend):
         payload = json.loads(urlopen(backend.url + "/api/cluster",
                                      timeout=10).read())
-        assert payload["enabled"] is True
         assert set(payload["replicas"]) == {"r0", "r1"}
         for replica in payload["replicas"].values():
             assert replica["state"] == "healthy"
@@ -158,10 +157,60 @@ class TestServeWiring:
         assert args.replicas == 3
         assert args.affinity_tokens == 16
 
-    def test_replicas_require_the_engine(self):
+    def test_replicas_require_the_engine(self, capsys):
+        # Every backend is a supervised fleet: the topology switches
+        # are gone, and naming one is an argparse usage error (exit 2)
+        # on both entry points.
+        from repro.cli import build_parser as build_cli_parser
         from repro.webapp.serve import build_server
         with pytest.raises(SystemExit):
             build_server(["backend", "--replicas", "2", "--no-engine"])
+        capsys.readouterr()
+        for flag in ("--no-engine", "--engine", "--supervise",
+                     "--no-supervise"):
+            for parser, command in ((build_parser(), "backend"),
+                                    (build_cli_parser(), "serve")):
+                with pytest.raises(SystemExit) as excinfo:
+                    parser.parse_args([command, "--replicas", "2", flag])
+                assert excinfo.value.code == 2
+                assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_serve_reuses_the_backend_flag_set(self):
+        from repro.cli import build_parser as build_cli_parser
+        flags = ["--checkpoint", "ckpt", "--replicas", "2", "--kernels",
+                 "fp32", "--retrieval", "--speculative"]
+        served = vars(build_cli_parser().parse_args(["serve", *flags]))
+        backend = vars(build_parser().parse_args(["backend", *flags]))
+        served.pop("command")
+        backend.pop("service")
+        assert served == backend
+
+    def test_benchmark_argv_builds_the_fleet(self, pipeline, tmp_path):
+        # The exact argv the serving benchmark launches with.
+        from repro.cli import build_parser as build_cli_parser
+        from repro.webapp.serve import build_backend_server
+        pipeline.save(tmp_path / "ckpt")
+        args = build_cli_parser().parse_args(
+            ["serve", "--checkpoint", str(tmp_path / "ckpt"), "--port", "0",
+             "--replicas", "2", "--kernels", "fp32", "--retrieval",
+             "--speculative"])
+        server = build_backend_server(args)
+        app = server.app
+        try:
+            assert app.router.replica_names() == ["r0", "r1"]
+            assert app.router.config.fleet_cache is True
+            health = app.dispatch(Request(method="GET", path="/api/health",
+                                          query={}, headers={}, body=b""))
+            health = json.loads(health.body)
+            assert health["replicas"] == 2
+            assert health["speculative"]["default_k"] == 4
+            assert health["retrieval"]["enabled"] is True
+            weights = app.router.weight_bytes()
+            assert weights["model_copies"] == 1
+            model = app.router._replicas["r0"].supervisor.engine.model
+            assert model.kernels is not None
+        finally:
+            app.engine.stop()
 
     def test_backend_rejects_zero_replicas(self, pipeline):
         with pytest.raises(ValueError):

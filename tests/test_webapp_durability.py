@@ -7,6 +7,7 @@ journal/spill directories — the same code paths ``repro serve
 """
 
 import json
+import shutil
 import time
 
 import pytest
@@ -312,19 +313,39 @@ class TestDrainAndShutdown:
 
     def test_shutdown_summary_reports_failed_spill_honestly(self, pipeline,
                                                             tmp_path):
-        # Supervisor path: stop() attempts the spill itself.  When the
-        # save fails, the summary must say so instead of claiming a
-        # warm snapshot that does not exist.
-        from repro.resilience import (FaultInjector, FaultSpec,
-                                      ResilienceConfig, inject_faults)
+        # Each replica's supervisor attempts its spill inside stop().
+        # When the save fails, the summary must say so instead of
+        # claiming a warm snapshot that does not exist.
+        from repro.resilience import FaultInjector, FaultSpec, inject_faults
 
-        app = _backend(pipeline, tmp_path, spill_dir=tmp_path / "spill",
-                       resilience=ResilienceConfig(supervise=True))
+        app = _backend(pipeline, tmp_path, spill_dir=tmp_path / "spill")
         injector = FaultInjector({"spill.save": FaultSpec(rate=1.0)})
         with inject_faults(injector):
             summary = app.shutdown_gracefully(deadline_seconds=30.0)
         assert summary["spilled"] is False
-        assert not (tmp_path / "spill" / "CURRENT").exists()
+        assert not (tmp_path / "spill" / "r0" / "CURRENT").exists()
+
+    def test_old_single_engine_spill_layout_is_a_cold_start(self, pipeline,
+                                                           tmp_path):
+        # Spill snapshots are per replica (<dir>/r0/CURRENT).  A
+        # snapshot left at <dir>/CURRENT by the retired single-engine
+        # layout is ignored: a clean cold start, never a crash.
+        app = _backend(pipeline, tmp_path, spill_dir=tmp_path / "fleet")
+        assert _post(app, "/api/generate", PAYLOAD).status == 200
+        assert app.shutdown_gracefully()["spilled"] is True
+        old = tmp_path / "spill"
+        shutil.move(str(tmp_path / "fleet" / "r0"), str(old))
+        assert (old / "CURRENT").exists()
+
+        reborn = _backend(pipeline, tmp_path, spill_dir=old)
+        try:
+            assert _body(_get(reborn, "/api/health"))["status"] == "ok"
+            stats = reborn.router.engine_stats()["replicas"]["r0"]
+            assert stats["prefix_cache"]["entries"] == 0
+            assert _post(reborn, "/api/generate", PAYLOAD).status == 200
+        finally:
+            reborn.shutdown_gracefully()
+        assert (old / "r0" / "CURRENT").exists()
 
     def test_warm_cache_after_restart(self, pipeline, tmp_path):
         app = _backend(pipeline, tmp_path, spill_dir=tmp_path / "spill")
@@ -334,6 +355,7 @@ class TestDrainAndShutdown:
 
         reborn = _backend(pipeline, tmp_path, spill_dir=tmp_path / "spill")
         try:
-            assert reborn.engine.prefix_cache.stats.entries > 0
+            stats = reborn.router.engine_stats()["replicas"]["r0"]
+            assert stats["prefix_cache"]["entries"] > 0
         finally:
             reborn.shutdown_gracefully()

@@ -6,6 +6,7 @@ these tests pin the *HTTP contract* — which status codes, headers and
 payload fields each failure becomes at the API boundary.
 """
 
+import contextlib
 import json
 import time
 
@@ -47,50 +48,55 @@ def _body(response):
 class TestAdmissionAtHttpLayer:
     @pytest.fixture()
     def app(self, pipeline):
-        return create_backend(
-            pipeline, registry=MetricsRegistry(), use_engine=False,
+        app = create_backend(
+            pipeline, registry=MetricsRegistry(),
             resilience=ResilienceConfig(shed_watermark_tokens=64))
+        yield app
+        app.engine.stop()
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _in_flight(app, cost):
+        """A big request already queued on the fleet of one."""
+        replica = app.router._replicas["r0"]
+        key = replica.track(None, cost)
+        try:
+            yield replica
+        finally:
+            replica.untrack(key)
 
     def test_generate_sheds_503_with_retry_after(self, app):
-        app.admission.try_acquire(60)  # a big request already in flight
-        try:
+        with self._in_flight(app, 60):
             response = _post(app, "/api/generate",
                              {"ingredients": ["garlic"],
                               "max_new_tokens": 16})
             assert response.status == 503
             assert float(response.headers["Retry-After"]) >= 1
             assert "overloaded" in _body(response)["error"]
-        finally:
-            app.admission.release(60)
         # Load drained: the same request is admitted and served.
         response = _post(app, "/api/generate",
                          {"ingredients": ["garlic"], "max_new_tokens": 16,
                           "seed": 3})
         assert response.status == 200
         assert "title" in _body(response)
-        assert app.admission.queued_tokens == 0  # released after serving
+        # Released after serving.
+        assert app.router._replicas["r0"].queued_tokens() == 0
 
     def test_async_endpoint_sheds_too(self, app):
-        app.admission.try_acquire(60)
-        try:
+        with self._in_flight(app, 60):
             response = _post(app, "/api/generate_async",
                              {"ingredients": ["garlic"],
                               "max_new_tokens": 16})
             assert response.status == 503
-        finally:
-            app.admission.release(60)
 
     def test_resilience_endpoint_reports_shed(self, app):
-        app.admission.try_acquire(60)
-        try:
+        with self._in_flight(app, 60):
             _post(app, "/api/generate",
                   {"ingredients": ["garlic"], "max_new_tokens": 16})
-        finally:
-            app.admission.release(60)
         payload = _body(_get(app, "/api/resilience"))
-        assert payload["enabled"] is True
+        assert payload["admission"]["watermark_tokens"] == 64
         assert payload["admission"]["shed_total"] == 1
-        assert payload["supervisor"] is None  # not supervised
+        assert payload["replicas"]["r0"]["state"] == "serving"
 
 
 class TestDeadlineHttpMapping:
@@ -106,7 +112,7 @@ class TestDeadlineHttpMapping:
         def expired(*args, **kwargs):
             raise DeadlineExceededError(0, 25.0, [])
 
-        monkeypatch.setattr(app.engine, "generate", expired)
+        monkeypatch.setattr(app.engine, "generate_ex", expired)
         response = _post(app, "/api/generate",
                          {"ingredients": ["garlic"], "partial": True})
         assert response.status == 504
@@ -117,7 +123,7 @@ class TestDeadlineHttpMapping:
         def expired(*args, **kwargs):
             raise DeadlineExceededError(0, 25.0, [2, 3, 4])
 
-        monkeypatch.setattr(app.engine, "generate", expired)
+        monkeypatch.setattr(app.engine, "generate_ex", expired)
         response = _post(app, "/api/generate", {"ingredients": ["garlic"]})
         assert response.status == 504
 
@@ -125,7 +131,7 @@ class TestDeadlineHttpMapping:
         def expired(*args, **kwargs):
             raise DeadlineExceededError(0, 25.0, [2, 3, 4])
 
-        monkeypatch.setattr(app.engine, "generate", expired)
+        monkeypatch.setattr(app.engine, "generate_ex", expired)
         response = _post(app, "/api/generate",
                          {"ingredients": ["garlic"], "partial": True})
         assert response.status == 200
@@ -136,13 +142,13 @@ class TestDeadlineHttpMapping:
 
     def test_server_default_deadline_is_forwarded(self, app, monkeypatch):
         seen = {}
-        original = app.engine.generate
+        original = app.engine.generate_ex
 
         def spy(*args, **kwargs):
             seen["deadline_ms"] = kwargs.get("deadline_ms")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(app.engine, "generate", spy)
+        monkeypatch.setattr(app.engine, "generate_ex", spy)
         payload = {"ingredients": ["garlic"], "max_new_tokens": 8, "seed": 1}
         assert _post(app, "/api/generate", payload).status == 200
         assert seen["deadline_ms"] == 60_000.0  # the configured default
@@ -163,7 +169,7 @@ class TestDegradedMode:
         registry = MetricsRegistry()
         app = create_backend(
             pipeline, registry=registry,
-            resilience=ResilienceConfig(supervise=True, max_restarts=0,
+            resilience=ResilienceConfig(max_restarts=0,
                                         degraded_fallback=True))
         try:
             injector = FaultInjector(
@@ -171,18 +177,25 @@ class TestDegradedMode:
             payload = {"ingredients": ["garlic"], "max_new_tokens": 8,
                        "seed": 2}
             with inject_faults(injector):
-                # The engine crashes on admission; the supervisor falls
-                # back to the sequential decoder and says so.
+                # The only replica's engine crashes on admission; with
+                # no survivor to fail over to, the router falls back to
+                # the sequential decoder and says so.
                 response = _post(app, "/api/generate", payload)
             assert response.status == 200
             assert _body(response)["degraded"] is True
             assert "title" in _body(response)
+
+            def replica_state():
+                block = _body(_get(app, "/api/resilience"))
+                return block["replicas"]["r0"]["state"]
+
             deadline = time.monotonic() + 10
-            while app.engine.state != "failed" and time.monotonic() < deadline:
+            while replica_state() != "failed" and time.monotonic() < deadline:
                 time.sleep(0.01)
-            block = _body(_get(app, "/api/resilience"))["supervisor"]
-            assert block["state"] == "failed"
-            assert block["degraded_available"] is True
+            block = _body(_get(app, "/api/resilience"))
+            assert block["replicas"]["r0"]["state"] == "failed"
+            assert block["degraded_fallback"] is True
+            assert block["degraded_total"] >= 1
             # Degraded requests keep working after the budget is gone.
             after = _post(app, "/api/generate", payload)
             assert after.status == 200
@@ -193,8 +206,14 @@ class TestDegradedMode:
 
 class TestResilienceEndpointDisabled:
     def test_defaults_report_disabled(self, pipeline):
-        app = create_backend(pipeline, registry=MetricsRegistry(),
-                             use_engine=False)
-        payload = _body(_get(app, "/api/resilience"))
-        assert payload == {"enabled": False, "default_deadline_ms": None,
-                           "admission": None, "supervisor": None}
+        # No ResilienceConfig: no default deadline, no shedding, no
+        # degraded fallback — reported in the same shape as when on.
+        app = create_backend(pipeline, registry=MetricsRegistry())
+        try:
+            payload = _body(_get(app, "/api/resilience"))
+        finally:
+            app.engine.stop()
+        assert payload["default_deadline_ms"] is None
+        assert payload["admission"]["watermark_tokens"] is None
+        assert payload["degraded_fallback"] is False
+        assert payload["replicas"]["r0"]["state"] == "serving"

@@ -130,10 +130,10 @@ class TestEngineBackedGeneration:
         assert excinfo.value.status == 400
 
     def test_engine_stats_endpoint(self, client):
-        stats = client.engine_stats()
-        assert stats["enabled"] is True
+        stats = client.engine_stats()["replicas"]["r0"]
         assert stats["max_batch_size"] >= 1
         assert "prefix_cache" in stats
+        assert stats["supervisor"]["state"] == "serving"
 
     def test_health_reports_fleet_of_one(self, client):
         health = client.health()
@@ -142,10 +142,24 @@ class TestEngineBackedGeneration:
         assert health["healthy"] == 1
         assert health["draining"] == 0
 
-    def test_cluster_endpoint_disabled_for_single_engine(self, backend):
+    def test_cluster_endpoint_reports_fleet_of_one(self, backend):
         payload = json.loads(urlopen(backend.url + "/api/cluster",
                                      timeout=10).read())
-        assert payload == {"enabled": False}
+        assert list(payload["replicas"]) == ["r0"]
+        assert payload["fleet"] == {"replicas": 1, "healthy": 1,
+                                    "draining": 0, "status": "ok"}
+
+    def test_engine_and_plain_agree(self, pipeline, backend):
+        # Same seed through the fleet-backed HTTP path and the direct
+        # in-process call: identical recipe (the bit-exactness contract
+        # surfaced at the API level).
+        config = GenerationConfig(max_new_tokens=30, top_k=20,
+                                  temperature=0.8, seed=33)
+        direct = pipeline.generate(["garlic", "onion"], generation=config)
+        via_engine = RatatouilleClient(backend.url).generate(
+            ["garlic", "onion"], seed=33, max_new_tokens=30)
+        assert via_engine["title"] == direct.title
+        assert via_engine["instructions"] == direct.instructions
 
     def test_engine_metrics_exposed(self, backend, registry):
         with urlopen(backend.url + "/api/metrics?format=text",
@@ -183,7 +197,7 @@ class TestStreamCancellation:
             assert next(stream).startswith(b"data:")  # tokens are flowing
             response.stream.close()                   # client went away
             cancelled = registry.counter("engine_requests_total").labels(
-                outcome="cancelled", strategy="plain")
+                engine="r0", outcome="cancelled", strategy="plain")
             deadline = time.monotonic() + 30
             while cancelled.value < 1 and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -192,43 +206,25 @@ class TestStreamCancellation:
             app.engine.stop()
 
 
-class TestEngineDisabled:
+class TestNonObjectBodies:
+    """Valid JSON that is not an object is a 400 on every POST route."""
+
     @pytest.fixture(scope="class")
-    def plain_backend(self, pipeline):
-        with Server(create_backend(pipeline, use_engine=False)) as server:
-            yield server
+    def app(self, pipeline):
+        app = create_backend(pipeline, registry=MetricsRegistry(),
+                             retrieval_index=pipeline.build_retrieval_index())
+        yield app
+        app.engine.stop()
 
-    def test_generate_still_works(self, plain_backend):
-        client = RatatouilleClient(plain_backend.url)
-        recipe = client.generate(["garlic"], seed=1, max_new_tokens=15)
-        assert "instructions" in recipe
+    @pytest.mark.parametrize("body", [b"[1]", b'"x"', b"3", b"null",
+                                      b"true"])
+    @pytest.mark.parametrize("path", [
+        "/api/generate", "/api/generate_async", "/api/generate_stream",
+        "/api/search", "/api/suggest"])
+    def test_non_object_body_is_400(self, app, path, body):
+        from repro.webapp.framework import Request
 
-    def test_engine_endpoint_reports_disabled(self, plain_backend):
-        assert RatatouilleClient(plain_backend.url).engine_stats() == {
-            "enabled": False}
-
-    def test_health_still_a_fleet_of_one(self, plain_backend):
-        # No serving thread exists to die, so the in-process decoder
-        # reports the same healthy fleet-of-one shape.
-        health = RatatouilleClient(plain_backend.url).health()
-        assert health["status"] == "ok"
-        assert (health["replicas"], health["healthy"],
-                health["draining"]) == (1, 1, 0)
-
-    def test_stream_unavailable_without_engine(self, plain_backend):
-        client = RatatouilleClient(plain_backend.url)
-        with pytest.raises(ApiError) as excinfo:
-            list(client.generate_stream(["garlic"]))
-        assert excinfo.value.status == 503
-
-    def test_engine_and_plain_agree(self, pipeline, backend):
-        # Same seed through the engine-backed HTTP path and the direct
-        # in-process call: identical recipe (the bit-exactness contract
-        # surfaced at the API level).
-        config = GenerationConfig(max_new_tokens=30, top_k=20,
-                                  temperature=0.8, seed=33)
-        direct = pipeline.generate(["garlic", "onion"], generation=config)
-        via_engine = RatatouilleClient(backend.url).generate(
-            ["garlic", "onion"], seed=33, max_new_tokens=30)
-        assert via_engine["title"] == direct.title
-        assert via_engine["instructions"] == direct.instructions
+        response = app.dispatch(Request(method="POST", path=path, query={},
+                                        headers={}, body=body))
+        assert response.status == 400
+        assert "JSON object" in json.loads(response.body)["error"]
