@@ -58,9 +58,11 @@ WORKLOAD = [
 
 
 def _decode(pipeline, engine, names, config, catalog, registry):
+    # The serving contract: dispatch without waiting, so each MCTS wave
+    # reaches the engine back to back and its rollouts decode together.
     def submit(prompt_ids, cfg, processors, deadline_ms):
-        return engine.generate(prompt_ids, cfg, processors=processors,
-                               deadline_ms=deadline_ms)
+        return engine.submit(prompt_ids, cfg, processors=processors,
+                             deadline_ms=deadline_ms)
 
     return run_constrained_generation(pipeline, names, config,
                                       submit=submit, catalog=catalog,

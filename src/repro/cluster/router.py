@@ -75,8 +75,8 @@ from ..serving.engine import (DeadlineExceededError, EngineCrashedError,
 from .admission import ClusterAdmissionController
 from .fleet_cache import FleetCacheIndex
 
-__all__ = ["ClusterConfig", "ClusterRequest", "NoReplicaAvailableError",
-           "Router"]
+__all__ = ["ClusterConfig", "ClusterRequest", "DegradableRequest",
+           "NoReplicaAvailableError", "Router"]
 
 #: Errors that mean "this replica cannot finish the request" — the
 #: router re-dispatches to a survivor.  Request-level errors (deadline
@@ -92,6 +92,10 @@ _SEVERITY = ("healthy", "degraded", "draining", "dead")
 
 class NoReplicaAvailableError(RuntimeError):
     """Every replica is dead, draining, or excluded by prior failures."""
+
+
+#: Errors a configured degraded fallback answers instead of the fleet.
+_DEGRADABLE_ERRORS = _FAILOVER_ERRORS + (NoReplicaAvailableError,)
 
 
 @dataclass(frozen=True)
@@ -334,6 +338,59 @@ class ClusterRequest:
         return attempt.handle.cancel() if attempt is not None else False
 
 
+class DegradableRequest:
+    """A dispatched blocking decode with the fleet's degraded fallback.
+
+    Built by :meth:`Router.submit_degradable`.  When the fleet cannot
+    serve the request — no replica is live at dispatch, or the
+    failover budget is spent by the time ``result()`` collects it —
+    and the router has a ``fallback``, the request decodes
+    sequentially at collection time and is reported degraded.
+    Request-level errors (deadline, validation, shed) propagate.
+    """
+
+    #: Whether ``result()`` answered through the fallback.
+    degraded = False
+
+    def __init__(self, router: "Router", prompt_ids: Sequence[int],
+                 config: GenerationConfig,
+                 processors: Sequence[LogitsProcessor],
+                 deadline_ms: Optional[float], admitted: bool) -> None:
+        self._router = router
+        self._prompt_ids = prompt_ids
+        self._config = config
+        self._processors = processors
+        self._request: Optional[ClusterRequest] = None
+        try:
+            self._request = router.submit(prompt_ids, config, processors,
+                                          deadline_ms=deadline_ms,
+                                          admitted=admitted)
+        except _DEGRADABLE_ERRORS:
+            if not router._can_degrade():
+                raise
+
+    @property
+    def in_flight(self) -> bool:
+        """Whether the fleet is still decoding (and charging for) it."""
+        return self._request is not None and not self._request.done
+
+    def result(self) -> List[int]:
+        """Block for the tokens; sets :attr:`degraded` on a fallback."""
+        if self._request is not None:
+            try:
+                return self._request.result()
+            except _DEGRADABLE_ERRORS:
+                if not self._router._can_degrade():
+                    raise
+        self.degraded = True
+        return self._router._degrade(self._prompt_ids, self._config,
+                                     self._processors)
+
+    def cancel(self) -> None:
+        if self._request is not None:
+            self._request.cancel()
+
+
 class _ClusterMetrics:
     """Cluster metric handles, resolved once at construction."""
 
@@ -417,9 +474,10 @@ class Router:
     fallback:
         Optional degraded decoder (see
         :func:`~repro.resilience.sequential_fallback`).  When no
-        replica can serve a blocking :meth:`generate_ex` — none is
-        live, or the failover budget is spent — the request decodes
-        sequentially through it and is reported ``degraded``.
+        replica can serve a blocking :meth:`generate_ex` (or a
+        :meth:`submit_degradable` handle) — none is live, or the
+        failover budget is spent — the request decodes sequentially
+        through it and is reported ``degraded``.
         Streaming (:meth:`submit`) has no degraded path.
     """
 
@@ -702,14 +760,19 @@ class Router:
     def submit(self, prompt_ids: Sequence[int],
                config: Optional[GenerationConfig] = None,
                processors: Sequence[LogitsProcessor] = (),
-               deadline_ms: Optional[float] = None) -> ClusterRequest:
+               deadline_ms: Optional[float] = None, *,
+               admitted: bool = False) -> ClusterRequest:
         """Place and dispatch a request; returns a failover-aware handle.
 
         Raises :class:`OverloadShedError` when every live replica is
         past its admission watermark, :class:`NoReplicaAvailableError`
         when none is live at all, and whatever the chosen engine's
         ``submit`` raises for invalid requests (validation errors are
-        never failed over).
+        never failed over).  ``admitted=True`` skips the watermark
+        check, as failover re-dispatch does: the caller already
+        admitted this decode as part of a larger priced request (a
+        sibling rollout of an MCTS wave), so its own siblings must not
+        shed it.  The request still counts against the watermark.
         """
         if self._stop_event.is_set():
             raise EngineStoppedError("router has been stopped")
@@ -722,7 +785,8 @@ class Router:
         request = ClusterRequest(self, request_id, list(prompt_ids), config,
                                  processors, deadline_ms,
                                  cost=config.max_new_tokens)
-        self._dispatch(request, exclude=set(), enforce_admission=True)
+        self._dispatch(request, exclude=set(),
+                       enforce_admission=not admitted)
         return request
 
     def generate(self, prompt_ids: Sequence[int],
@@ -751,19 +815,43 @@ class Router:
         meaning.
         """
         config = config or GenerationConfig()
+        if config.strategy != "beam":
+            request = self.submit_degradable(prompt_ids, config, processors,
+                                             deadline_ms=deadline_ms)
+            return request.result(), request.degraded
         try:
-            if config.strategy == "beam":
-                return self._generate_unbatched(
-                    prompt_ids, config, processors, deadline_ms), False
-            return self.submit(prompt_ids, config, processors,
-                               deadline_ms=deadline_ms).result(), False
-        except _FAILOVER_ERRORS + (NoReplicaAvailableError,):
-            if self.fallback is None or self._stop_event.is_set():
+            return self._generate_unbatched(
+                prompt_ids, config, processors, deadline_ms), False
+        except _DEGRADABLE_ERRORS:
+            if not self._can_degrade():
                 raise
+        return self._degrade(prompt_ids, config, processors), True
+
+    def submit_degradable(self, prompt_ids: Sequence[int],
+                          config: Optional[GenerationConfig] = None,
+                          processors: Sequence[LogitsProcessor] = (),
+                          deadline_ms: Optional[float] = None, *,
+                          admitted: bool = False) -> "DegradableRequest":
+        """:meth:`submit` without waiting, keeping :meth:`generate_ex`'s
+        degraded fallback for when the result is collected.
+
+        Callers that run several blocking decodes at once (an MCTS
+        wave) dispatch them all through this, then collect each with
+        ``result()``.  ``admitted`` is :meth:`submit`'s.
+        """
+        return DegradableRequest(self, prompt_ids,
+                                 config or GenerationConfig(), processors,
+                                 deadline_ms, admitted)
+
+    def _can_degrade(self) -> bool:
+        return self.fallback is not None and not self._stop_event.is_set()
+
+    def _degrade(self, prompt_ids: Sequence[int], config: GenerationConfig,
+                 processors: Sequence[LogitsProcessor]) -> List[int]:
         config.validate()
         tokens = self.fallback(prompt_ids, config, processors)
         self._metrics.degraded.inc()
-        return tokens, True
+        return tokens
 
     def _generate_unbatched(self, prompt_ids: Sequence[int],
                             config: GenerationConfig,

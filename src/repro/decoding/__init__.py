@@ -10,8 +10,8 @@ Three cooperating layers over the serving stack:
   ``max_calories``) over the recipedb substrates, enforced at the
   prompt, the mask, and the text predicate;
 * :mod:`.mcts` + :mod:`.reward` — PUCT tree search over decode
-  prefixes with a recipe-quality reward, rollouts batched through the
-  serving engine so siblings share prefix KV.
+  prefixes with a recipe-quality reward, rollouts submitted in
+  concurrent waves so siblings share prefix KV and decode steps.
 
 :func:`run_constrained_generation` is the shared driver the webapp
 backend and the CLI call.
@@ -24,7 +24,8 @@ from .constraints import (Constraints, DIET_RULES, DIETS,
 from .driver import (build_constrained_processors, grammar_for,
                      run_constrained_generation)
 from .grammar import MIN_BUDGET, GrammarMask, RecipeGrammar
-from .mcts import EXPANSION_CHUNK, MAX_CHILDREN, MCTSDecoder, SearchResult
+from .mcts import (EXPANSION_CHUNK, MAX_CHILDREN, CompletedDecode,
+                   MCTSDecoder, SearchResult)
 from .reward import NEUTRAL_NOVELTY, RecipeReward, RewardBreakdown, WEIGHTS
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "build_constrained_processors", "grammar_for",
     "run_constrained_generation",
     "MIN_BUDGET", "GrammarMask", "RecipeGrammar",
-    "EXPANSION_CHUNK", "MAX_CHILDREN", "MCTSDecoder", "SearchResult",
+    "EXPANSION_CHUNK", "MAX_CHILDREN", "CompletedDecode", "MCTSDecoder",
+    "SearchResult",
     "NEUTRAL_NOVELTY", "RecipeReward", "RewardBreakdown", "WEIGHTS",
 ]

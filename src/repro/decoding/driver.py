@@ -1,12 +1,12 @@
 """Constrained/search-guided generation driver.
 
 One entry point — :func:`run_constrained_generation` — shared by the
-HTTP backend (which wires ``submit`` to its engine / supervisor /
-router decode path) and ``repro generate`` (which defaults to the
-sequential decoder).  It owns the plumbing the two callers would
-otherwise duplicate: building fresh grammar/constraint processors per
-decode, routing ``strategy: "mcts"`` through :class:`MCTSDecoder`,
-re-checking single-shot outputs against the text-level predicate (with
+HTTP backend (which wires ``submit`` to its router decode path) and
+``repro generate`` (which defaults to the sequential decoder).  It
+owns the plumbing the two callers would otherwise duplicate: building
+fresh grammar/constraint processors per decode, routing
+``strategy: "mcts"`` through :class:`MCTSDecoder`, re-checking
+single-shot outputs against the text-level predicate (with
 deterministic seed-bumped retries for sampling), and shaping the
 ``search``/``constraints_satisfied`` response fields.
 """
@@ -22,7 +22,7 @@ from ..models import generate as sequential_generate
 from ..obs import MetricsRegistry
 from .constraints import Constraints, PhraseBlocker, violations
 from .grammar import GrammarMask, RecipeGrammar
-from .mcts import MCTSDecoder, SearchResult
+from .mcts import CompletedDecode, MCTSDecoder, SearchResult
 from .reward import RecipeReward
 
 #: Deterministic seed stride between single-shot retry attempts.
@@ -88,7 +88,11 @@ def run_constrained_generation(
     carries the response surface: ``constraints_satisfied``, and for
     MCTS a ``search`` block plus ``search_degraded`` when the reward
     fault point fired.  ``submit(prompt_ids, config, processors,
-    deadline_ms)`` defaults to the in-process sequential decoder.
+    deadline_ms) -> handle`` starts one decode without waiting for it
+    (``handle.result()`` / ``handle.cancel()``, see
+    :class:`MCTSDecoder`); it defaults to the in-process sequential
+    decoder, whose handles are already done — so both paths build the
+    same search tree.
     """
     constraints = config.constraints
     prompt_text, prompt_ids, config, user_processors = (
@@ -98,8 +102,8 @@ def run_constrained_generation(
 
     if submit is None:
         def submit(prompt, cfg, processors, _deadline_ms):
-            return sequential_generate(pipeline.model, prompt, cfg,
-                                       processors=processors)
+            return CompletedDecode(sequential_generate(
+                pipeline.model, prompt, cfg, processors=processors))
 
     def fresh_processors(preamble: Sequence[int], budget: int) -> list:
         # prepare_prompt built the user processors (checklist bonus)
@@ -171,7 +175,7 @@ def run_constrained_generation(
                           else config.strategy),
                 seed=config.seed + RETRY_SEED_STRIDE * attempt)
         processors = fresh_processors((), config.max_new_tokens)
-        new_ids = submit(prompt_ids, cfg, processors, deadline_ms)
+        new_ids = submit(prompt_ids, cfg, processors, deadline_ms).result()
         problems = violations(constraints, raw_text_of(new_ids), catalog)
         if not problems:
             break

@@ -726,7 +726,33 @@ class InferenceEngine:
         boundaries plus the full prompt, which keeps every stored
         depth *eligible* for future lookups (see
         :class:`~repro.serving.prefix_cache.PrefixCache`).
+
+        Identical prompts in one wave (MCTS sibling rollouts) prefill
+        once: only the first copy looks up and prefills, and the rest
+        look up after it, so they are full cache hits — bit-identical,
+        because a full hit issues no trunk calls at all.  With no cache
+        budget nothing could be stored for them, so the copies stay in
+        their leader's group and share its stacked prefill instead.
         """
+        leaders: List[_Sequence] = []
+        repeats: List[_Sequence] = []
+        seen = set()
+        share = self.prefix_cache.max_bytes > 0
+        for seq in admitted:
+            prompt = tuple(seq.request.prompt_ids)
+            (repeats if share and prompt in seen else leaders).append(seq)
+            seen.add(prompt)
+        self._prefill_wave(leaders)
+        if repeats:
+            self._prefill_wave(repeats)
+        cache_stats = self.prefix_cache.stats_snapshot()
+        self.metrics.cache_evictions.inc(
+            cache_stats["evictions"] - self.metrics.cache_evictions.value)
+        self.metrics.cache_bytes.set(cache_stats["bytes"])
+        self.metrics.cache_hit_rate.set(cache_stats["hit_rate"])
+
+    def _prefill_wave(self, admitted: List[_Sequence]) -> None:
+        """Look up, group and prefill ``admitted`` (see above)."""
         groups: Dict[Tuple[int, int], List[Tuple[_Sequence, Any, Any]]] = {}
         for seq in admitted:
             prompt = seq.request.prompt_ids
@@ -754,11 +780,6 @@ class InferenceEngine:
                         self._finish(seq, error=error)
                         continue
                     self._active.append(seq)
-        cache_stats = self.prefix_cache.stats_snapshot()
-        self.metrics.cache_evictions.inc(
-            cache_stats["evictions"] - self.metrics.cache_evictions.value)
-        self.metrics.cache_bytes.set(cache_stats["bytes"])
-        self.metrics.cache_hit_rate.set(cache_stats["hit_rate"])
 
     def _prefill_stacked(self, members: List[Tuple[_Sequence, Any, Any]],
                          prompt_len: int, hit_len: int) -> bool:

@@ -74,7 +74,7 @@ MAX_SPECULATIVE_K = 16
 MAX_RETRIEVE_K = 8
 
 #: Server-side ceiling on per-request ``mcts_rollouts``.  Each rollout
-#: is a full decode, so admission charges MCTS requests
+#: is a full decode, so the admission probe prices MCTS requests at
 #: ``max_new_tokens * (1 + mcts_rollouts)`` token-equivalents; the cap
 #: bounds what one request may ask the gate for.  ``repro serve
 #: --max-mcts-rollouts`` tunes it per deployment.
@@ -185,10 +185,11 @@ def _parse_generation_request(payload: dict,
 def _admission_cost(config: GenerationConfig) -> int:
     """Token-equivalents one request may cost the serving fleet.
 
-    MCTS decodes up to ``mcts_rollouts`` full rollouts plus the
-    degraded-fallback decode, so it is charged the whole tree, not one
-    decode — otherwise a saturated server would admit a request that
-    costs 13x what the gate thinks.
+    The HTTP layer only *probes* the fleet gate with this; each decode
+    is charged at dispatch.  MCTS decodes up to ``mcts_rollouts`` full
+    rollouts plus the degraded-fallback decode, so the probe prices
+    the whole tree, not one decode — otherwise a saturated server
+    would start a search that costs 13x what the probe saw.
     """
     if config.strategy == "mcts":
         return config.max_new_tokens * (1 + config.mcts_rollouts)
@@ -539,18 +540,24 @@ def create_backend(pipeline: Ratatouille,
             payload["retrieval_degraded"] = True
         return payload
 
-    def _engine_submit(state: dict):
+    def _engine_submit(issued: list):
         """The decode callable constrained generation rolls out through.
 
-        ``state["degraded"]`` records a router fallback so the payload
-        can surface it.
+        Dispatches without waiting, so an MCTS wave's rollouts reach
+        the fleet back to back and decode concurrently.  Every request
+        lands in ``issued`` so the payload can surface a router
+        fallback (``degraded``).  The admission probe priced the whole
+        search, so a decode dispatched while another of the same
+        search is still in flight skips the watermark: a wave's first
+        rollout is charged, and its siblings cannot shed their own
+        tree.
         """
         def submit(prompt_ids, cfg, processors, submit_deadline_ms):
-            new_ids, degraded = router.generate_ex(
-                prompt_ids, cfg, processors, deadline_ms=submit_deadline_ms)
-            if degraded:
-                state["degraded"] = True
-            return new_ids
+            request = router.submit_degradable(
+                prompt_ids, cfg, processors, deadline_ms=submit_deadline_ms,
+                admitted=any(sibling.in_flight for sibling in issued))
+            issued.append(request)
+            return request
         return submit
 
     def _run_constrained(names, config, checklist, deadline_ms,
@@ -559,11 +566,11 @@ def create_backend(pipeline: Ratatouille,
         """Grammar/constraint/MCTS decoding through the shared driver."""
         clock = registry.clock
         start = clock.now()
-        state = {"degraded": False}
+        issued: list = []
         try:
             prompt_text, new_ids, config, info = run_constrained_generation(
                 pipeline, names, config, checklist=checklist,
-                exemplars=exemplars, submit=_engine_submit(state),
+                exemplars=exemplars, submit=_engine_submit(issued),
                 catalog=catalog, retrieval_index=retrieval_index,
                 registry=registry, deadline_ms=deadline_ms)
         except DeadlineExceededError as exc:
@@ -588,7 +595,7 @@ def create_backend(pipeline: Ratatouille,
                                         elapsed=clock.now() - start)
         payload = _generation_payload(recipe, exemplars, retrieval_degraded)
         payload.update(info)
-        if state["degraded"]:
+        if any(request.degraded for request in issued):
             payload["degraded"] = True
         return payload
 
@@ -860,7 +867,7 @@ def create_backend(pipeline: Ratatouille,
             shed = _admit(cost)
             if shed is not None:
                 return shed
-            state = {"degraded": False}
+            issued: list = []
 
             def mcts_events():
                 try:
@@ -868,7 +875,7 @@ def create_backend(pipeline: Ratatouille,
                         run_constrained_generation(
                             pipeline, names, config,
                             checklist=checklist, exemplars=exemplars,
-                            submit=_engine_submit(state),
+                            submit=_engine_submit(issued),
                             catalog=catalog,
                             retrieval_index=retrieval_index,
                             registry=registry,
@@ -890,7 +897,7 @@ def create_backend(pipeline: Ratatouille,
                 body = _generation_payload(recipe, exemplars,
                                            retrieval_degraded)
                 body.update(info)
-                if state["degraded"]:
+                if any(request.degraded for request in issued):
                     body["degraded"] = True
                 yield {"done": True, "recipe": body}
 

@@ -110,8 +110,8 @@ def add_backend_arguments(backend: argparse.ArgumentParser) -> None:
                               "shutdown and mmap-reloaded on the next start")
     backend.add_argument("--max-mcts-rollouts", type=int, default=None,
                          help="cap on per-request mcts_rollouts for "
-                              "strategy=mcts search decoding; admission "
-                              "charges max_new_tokens * (1 + rollouts) "
+                              "strategy=mcts search decoding; the admission "
+                              "probe prices max_new_tokens * (1 + rollouts) "
                               "(docs/DECODING.md)")
     backend.add_argument("--drain-deadline", type=float, default=10.0,
                          help="graceful-shutdown budget in seconds: "

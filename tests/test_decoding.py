@@ -30,7 +30,8 @@ from repro.recipedb import default_catalog, generate_corpus
 from repro.serving import InferenceEngine
 from repro.tokenizers import BPETokenizer, WordTokenizer
 from repro.training import TrainingConfig
-from repro.decoding import (Constraints, GrammarMask, MCTSDecoder, MIN_BUDGET,
+from repro.decoding import (CompletedDecode, Constraints, GrammarMask,
+                            MCTSDecoder, MIN_BUDGET,
                             PhraseBlocker, RecipeGrammar, RecipeReward,
                             apply_constraints_to_prompt, estimate_calories,
                             parse_constraints, run_constrained_generation,
@@ -300,7 +301,7 @@ def _breakdown(total):
 class TestMCTSDecoder:
     def _stub_submit(self, table):
         def submit(prompt, config, processors, deadline_ms):
-            return list(table[config.strategy])
+            return CompletedDecode(table[config.strategy])
         return submit
 
     def test_reward_failure_degrades_to_greedy(self):

@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.decoding import GrammarMask, MCTSDecoder, MIN_BUDGET, RecipeGrammar
+from repro.decoding import (CompletedDecode, GrammarMask, MCTSDecoder,
+                            MIN_BUDGET, RecipeGrammar)
 from repro.decoding.grammar import S_DONE
 from repro.decoding.reward import RewardBreakdown
 from repro.models import GenerationConfig
@@ -98,7 +99,7 @@ class TestSeededSearchDeterminism:
             rng = np.random.default_rng(
                 (config.seed * 31 + len(prompt)) % (2**31))
             n = rng.integers(MIN_BUDGET, config.max_new_tokens + 1)
-            return [int(t) for t in rng.integers(4, 40, size=n)]
+            return CompletedDecode(rng.integers(4, 40, size=n))
 
         def reward(ids):
             total = (sum(ids) % 997) / 997.0

@@ -98,6 +98,20 @@ class TestAdmissionAtHttpLayer:
         assert payload["admission"]["shed_total"] == 1
         assert payload["replicas"]["r0"]["state"] == "serving"
 
+    def test_mcts_wave_is_not_shed_by_its_own_siblings(self, app):
+        # Two concurrent rollouts (80 tokens) exceed the 64-token
+        # watermark, but the probe priced the whole tree: an idle
+        # server serves the search instead of shedding its own wave.
+        response = _post(app, "/api/generate",
+                         {"ingredients": ["garlic", "onion"],
+                          "strategy": "mcts", "mcts_rollouts": 6,
+                          "max_new_tokens": 40, "seed": 5})
+        assert response.status == 200, _body(response)
+        assert _body(response)["search"]["rollouts"] == 6
+        payload = _body(_get(app, "/api/resilience"))
+        assert payload["admission"]["shed_total"] == 0
+        assert app.router._replicas["r0"].queued_tokens() == 0
+
 
 class TestDeadlineHttpMapping:
     @pytest.fixture(scope="class")
